@@ -9,7 +9,6 @@ composition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -17,68 +16,19 @@ from .errors import (
 )
 from .machine import (
     EOT, POS, RIGHT, STAY, ZERO,
-    CounterMachine, Transition, _index, all_guards,
-    enforce_reversal_control, normalize, run_deterministic,
-    stay_acyclic_check,
+    CounterMachine, Transition, _index, all_guards, build_machine,
+    combine_budgets, enforce_reversal_control, no_stay_into_final,
+    run_deterministic, stay_acyclic_check, totalize_dead_state,
 )
 from . import decide
 from .regular import (
-    Dfa, full_dfa, machine_from_dfa, prefix_free_check_dfa, trim_states,
-    validate_dfa,
+    Dfa, full_dfa, machine_from_dfa, prefix_free_check_dfa, validate_dfa,
 )
 
 
 def _check_alphabets(a, b):
     if tuple(a) != tuple(b):
         raise AlphabetMismatch(f"alphabets differ: {a!r} vs {b!r}")
-
-
-def _combine_l(l1, l2):
-    if l1 is None or l2 is None:
-        return None
-    return max(l1, l2)
-
-
-def _trim_machine(m: CounterMachine) -> CounterMachine:
-    adj = {}
-    for t in m.transitions:
-        adj.setdefault(t.src, []).append(t.dst)
-    seen = {m.initial}
-    work = [m.initial]
-    while work:
-        q = work.pop()
-        for p in adj.get(q, ()):
-            if p not in seen:
-                seen.add(p)
-                work.append(p)
-    return replace(
-        m,
-        states=frozenset(seen),
-        finals=frozenset(f for f in m.finals if f in seen),
-        transitions=tuple(t for t in m.transitions if t.src in seen),
-    )
-
-
-def _build(name, k, l, alphabet, initial, finals, transitions, *,
-           marked=None, deterministic, budget_explicit=True):
-    states = {initial}
-    for t in transitions:
-        states.add(t.src)
-        states.add(t.dst)
-    if marked is None:
-        marked = any(t.symbol == EOT for t in transitions)
-    m = CounterMachine(
-        name=name, k=k, l=l,
-        states=frozenset(states),
-        alphabet=tuple(alphabet),
-        initial=initial,
-        finals=frozenset(f for f in finals if f in states),
-        transitions=tuple(dict.fromkeys(transitions)),
-        marked=marked,
-        deterministic=deterministic,
-        budget_explicit=budget_explicit,
-    )
-    return _trim_machine(m)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +51,7 @@ def intersect_regular(m: CounterMachine, d: Dfa) -> CounterMachine:
             for s in d.states:
                 transitions.append(replace(t, src=(t.src, s), dst=(t.dst, s)))
     finals = {(q, s) for q in m.finals for s in d.finals}
-    return _build(
+    return build_machine(
         m.name + "_x_dfa", m.k, m.l, m.alphabet,
         (m.initial, d.initial), finals, transitions,
         marked=m.marked, deterministic=m.deterministic,
@@ -211,8 +161,8 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
                                   (q1, t.dst, f1, f2 or t.dst in F2),
                                   STAY, z1 + t.deltas)
     finals = {s for s in seen if s[2] and s[3]}
-    return _build(
-        f"({m1.name}&{m2.name})", k1 + k2, _combine_l(m1.l, m2.l),
+    return build_machine(
+        f"({m1.name}&{m2.name})", k1 + k2, combine_budgets(m1.l, m2.l),
         m1e.alphabet, init, finals, transitions,
         deterministic=det)
 
@@ -220,8 +170,12 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
 # ---------------------------------------------------------------------------
 # stay-run termination and boolean operations
 
+# stay_runs_terminate gives up (answers "could not certify") past this
+# many simple stay cycles for one symbol
+STAY_CYCLE_CAP = 2000
 
-def stay_runs_terminate(m: CounterMachine, cycle_cap: int = 2000) -> bool:
+
+def stay_runs_terminate(m: CounterMachine) -> bool:
     """Conservative check that no stay run (per symbol or at the end of
     input) can go on forever.
 
@@ -249,7 +203,7 @@ def stay_runs_terminate(m: CounterMachine, cycle_cap: int = 2000) -> bool:
         deltas = []
         over = False
         for cyc in nx.simple_cycles(g):
-            if len(deltas) > cycle_cap:
+            if len(deltas) > STAY_CYCLE_CAP:
                 over = True
                 break
             vec = (0,) * m.k
@@ -279,7 +233,7 @@ def _complement(m: CounterMachine) -> CounterMachine:
     if not stay_runs_terminate(me):
         raise PreconditionViolated(
             "complement needs provably terminating stay runs")
-    me = normalize(me, ["totalize_dead_state"])
+    me = totalize_dead_state(me)
     idx = _index(me)
     F = me.finals
     ok = ("complement_ok",)
@@ -297,7 +251,7 @@ def _complement(m: CounterMachine) -> CounterMachine:
             if not idx.get((q, EOT), {}).get(g, ()):
                 transitions.append(Transition(
                     (q, False), EOT, g, ok, STAY, (0,) * me.k))
-    return _build(
+    return build_machine(
         "not_" + m.name, me.k, me.l, me.alphabet,
         (me.initial, me.initial in F), {ok}, transitions,
         marked=True, deterministic=True)
@@ -410,7 +364,7 @@ def strip_end_marker_one_counter(m: CounterMachine, return_info: bool = False):
         for j in range(loop):
             if tail + j in acc:
                 finals.add(Lemma1State(q, tail, j))
-    out = _build(
+    out = build_machine(
         m.name + "_nomark", 1, m.l, m.alphabet,
         Lemma1State(me.initial, 0, 0), finals, tuple(transitions),
         marked=False, deterministic=True)
@@ -472,8 +426,8 @@ def concat_pf_dcmne_dcm(m1: CounterMachine, m2: CounterMachine) -> CounterMachin
                 z1 + t.deltas))
     initial = bstart if m1e.initial in m1e.finals else ("a", m1e.initial)
     finals = {("b", f) for f in m2e.finals}
-    return _build(
-        f"({m1.name}.{m2.name})", k1 + k2, _combine_l(m1.l, m2.l),
+    return build_machine(
+        f"({m1.name}.{m2.name})", k1 + k2, combine_budgets(m1.l, m2.l),
         m1e.alphabet, initial, finals, transitions,
         marked=m2e.marked, deterministic=True)
 
@@ -488,7 +442,7 @@ def prepare_for_regular_concat(m: CounterMachine) -> CounterMachine:
     me = enforce_reversal_control(m)
     if not stay_acyclic_check(me):
         raise PreconditionViolated("machine has a stay cycle; cannot totalize")
-    return normalize(me, ["no_stay_into_final", "totalize_dead_state"])
+    return totalize_dead_state(no_stay_into_final(me))
 
 
 def concat_dcmne_regular(m1: CounterMachine, d2: Dfa) -> CounterMachine:
@@ -529,7 +483,7 @@ def concat_dcmne_regular(m1: CounterMachine, d2: Dfa) -> CounterMachine:
                     seen.add(dst)
                     work.append(dst)
     finals = {s for s in seen if s[1] & d2.finals}
-    return _build(
+    return build_machine(
         m1.name + "_cat_reg", m1.k, m1.l, m1.alphabet, init, finals,
         transitions, marked=False, deterministic=True)
 
@@ -578,9 +532,9 @@ def left_quotient_word(m: CounterMachine, w: str) -> CounterMachine:
     if any(ch not in m.alphabet for ch in w):
         raise PreconditionViolated("quotient word uses foreign symbols")
     me = enforce_reversal_control(m)
-    empty = _build(m.name + "_quo", me.k, me.l, me.alphabet,
-                   ("quotient_empty",), set(), (),
-                   marked=False, deterministic=True)
+    empty = build_machine(m.name + "_quo", me.k, me.l, me.alphabet,
+                          ("quotient_empty",), set(), (),
+                          marked=False, deterministic=True)
     trace = run_deterministic(me, w)
     boundary = None
     for cfg, _t in trace.steps:
@@ -608,9 +562,9 @@ def left_quotient_word(m: CounterMachine, w: str) -> CounterMachine:
             for sym in tuple(me.alphabet) + (EOT,):
                 transitions.append(Transition(src, sym, guard, dst, STAY, deltas))
             src = dst
-    return _build(m.name + "_quo", me.k, me.l, me.alphabet,
-                  ("prime", 0), me.finals, transitions,
-                  marked=True, deterministic=True)
+    return build_machine(m.name + "_quo", me.k, me.l, me.alphabet,
+                         ("prime", 0), me.finals, transitions,
+                         marked=True, deterministic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +575,8 @@ def sigma_plus_machine(alphabet) -> CounterMachine:
     """Counter-free machine for all non-empty words."""
     transitions = [Transition("s0", x, "", "s1", RIGHT, ()) for x in alphabet]
     transitions += [Transition("s1", x, "", "s1", RIGHT, ()) for x in alphabet]
-    return _build("sigma_plus", 0, 0, alphabet, "s0", {"s1"},
-                  transitions, marked=False, deterministic=True)
+    return build_machine("sigma_plus", 0, 0, alphabet, "s0", {"s1"},
+                         transitions, marked=False, deterministic=True)
 
 
 def sigma_star_machine(alphabet) -> CounterMachine:
@@ -699,16 +653,9 @@ def concat_ncm(m1: CounterMachine, m2: CounterMachine) -> CounterMachine:
         if t.src == a(m1e.initial):
             extra.append(replace(t, src=initial))
     transitions += extra
-    if decide.member(m1, ""):
-        for t in m2_initial_ts:
-            transitions.append(Transition(
-                initial, t.symbol, ZERO * k1 + t.guard, b(t.dst), t.move,
-                z1 + t.deltas))
-        transitions.append(Transition(
-            initial, EOT, ZERO * k1 + zg2, b(m2e.initial), STAY, z1 + z2))
     finals = {b(f) for f in m2e.finals}
-    return _build(
-        f"({m1.name}.{m2.name})", k1 + k2, _combine_l(m1.l, m2.l),
+    return build_machine(
+        f"({m1.name}.{m2.name})", k1 + k2, combine_budgets(m1.l, m2.l),
         m1e.alphabet, initial, finals, transitions, deterministic=False)
 
 
@@ -746,9 +693,9 @@ def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> Counte
             for g in all_guards(k):
                 transitions.append(Transition(sink, x, g, sink, RIGHT, (0,) * k))
         finals = {(f, fresh) for f in me.finals for fresh in (True, False)}
-        return _build(m.name + "_insuffix", k, me.l, me.alphabet,
-                      (me.initial, True), finals | {sink}, transitions,
-                      marked=False, deterministic=False)
+        return build_machine(m.name + "_insuffix", k, me.l, me.alphabet,
+                             (me.initial, True), finals | {sink}, transitions,
+                             marked=False, deterministic=False)
     if mode == "suffix":
         skip = ("pre",)
         transitions = list(me.transitions)
@@ -760,8 +707,8 @@ def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> Counte
         finals = set(me.finals)
         if me.initial in me.finals:
             finals.add(skip)
-        return _build(m.name + "_insprefix", k, me.l, me.alphabet, skip,
-                      finals, transitions, marked=me.marked, deterministic=False)
+        return build_machine(m.name + "_insprefix", k, me.l, me.alphabet, skip,
+                             finals, transitions, marked=me.marked, deterministic=False)
     if mode == "infix":
         return replace(
             inverse_insertion_ncm(inverse_insertion_ncm(m, "suffix"), "prefix"),
@@ -808,6 +755,6 @@ def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> Counte
     finals = {(f, "sim", g, fresh) for f in me.finals
               for g in range(gaps + 1) for fresh in (True, False)}
     finals |= {(f, "gap", g) for f in me.finals for g in range(gaps + 1)}
-    return _build(m.name + f"_embed{gaps}", k, me.l, me.alphabet,
-                  (me.initial, "sim", 0, True), finals, transitions,
-                  marked=me.marked, deterministic=False)
+    return build_machine(m.name + f"_embed{gaps}", k, me.l, me.alphabet,
+                         (me.initial, "sim", 0, True), finals, transitions,
+                         marked=me.marked, deterministic=False)

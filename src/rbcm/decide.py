@@ -18,7 +18,7 @@ from math import gcd
 from .errors import InfiniteBudget, PreconditionViolated
 from .machine import (
     DIR_DOWN, DIR_NONE, DIR_UP, EOT, POS, RIGHT, STAY, ZERO,
-    CounterMachine, Transition, _bump_budget, _index,
+    CounterMachine, Transition, _index, _reachable, _step_budgets,
     fresh_budgets, run_deterministic,
 )
 
@@ -551,28 +551,13 @@ def build_phase_automaton(m: CounterMachine) -> PhaseAutomaton:
 
 
 def _trim_phase_automaton(pa: PhaseAutomaton):
-    fwd, bwd = {}, {}
-    for e in pa.edges:
-        fwd.setdefault(e.src, []).append(e.dst)
-        bwd.setdefault(e.dst, []).append(e.src)
-
-    def closure(seeds, adj):
-        seen = set(seeds)
-        work = list(seeds)
-        while work:
-            n = work.pop()
-            for nx in adj.get(n, ()):
-                if nx not in seen:
-                    seen.add(nx)
-                    work.append(nx)
-        return seen
-
-    reach = closure({pa.initial}, fwd)
-    co = closure(pa.accepting & reach, bwd)
-    live = reach & co
-    if pa.initial not in live:
-        live = {pa.initial} if pa.initial in reach else set()
-    pa.nodes = live | ({pa.initial} if pa.initial in pa.nodes else set())
+    edges = [(e.src, e.dst) for e in pa.edges]
+    reach = _reachable([pa.initial], edges)
+    co = _reachable([n for n in reach if n in pa.accepting],
+                    [(v, u) for u, v in edges])
+    live = {n for n in reach if n in co}
+    live.add(pa.initial)
+    pa.nodes = live
     pa.accepting = pa.accepting & live
     pa.edges = [e for e in pa.edges if e.src in live and e.dst in live]
 
@@ -592,24 +577,12 @@ def _parikh_paths(pa: PhaseAutomaton, target, weight, dims):
         cur = graph.setdefault(u, {})
         cur[v] = sl_union(cur.get(v, ()), (comp,))
 
-    relevant = set()
-    fwd, bwd = {}, {}
-    for e in pa.edges:
-        fwd.setdefault(e.src, set()).add(e.dst)
-        bwd.setdefault(e.dst, set()).add(e.src)
-
-    def closure(seed, adj):
-        seen = {seed}
-        work = [seed]
-        while work:
-            n = work.pop()
-            for nx in adj.get(n, ()):
-                if nx not in seen:
-                    seen.add(nx)
-                    work.append(nx)
-        return seen
-
-    relevant = closure(pa.initial, fwd) & closure(target, bwd)
+    # Nodes hold None, whose hash varies between processes, so every
+    # collection iterated below is a list or a dict: the elimination
+    # order, and with it the result, must not depend on hashing.
+    edges = [(e.src, e.dst) for e in pa.edges]
+    co = _reachable([target], [(v, u) for u, v in edges])
+    relevant = {n: None for n in _reachable([pa.initial], edges) if n in co}
     if pa.initial not in relevant or target not in relevant:
         return ()
     for e in pa.edges:
@@ -621,16 +594,16 @@ def _parikh_paths(pa: PhaseAutomaton, target, weight, dims):
     incoming = {}
     for u, outs in graph.items():
         for v in outs:
-            incoming.setdefault(v, set()).add(u)
+            incoming.setdefault(v, {})[u] = None
 
-    internal = [n for n in relevant]
+    internal = list(relevant)
     while internal:
         x = min(internal, key=lambda n: len(incoming.get(n, ())) * len(graph.get(n, {})))
         internal.remove(x)
         outs = graph.pop(x, {})
-        ins = incoming.pop(x, set())
+        ins = incoming.pop(x, {})
         self_loop = outs.pop(x, None)
-        ins.discard(x)
+        ins.pop(x, None)
         loop_star = sl_star(self_loop) if self_loop else sl_zero(dims)
         for u in ins:
             left = graph[u].pop(x, None)
@@ -641,9 +614,9 @@ def _parikh_paths(pa: PhaseAutomaton, target, weight, dims):
                 add = sl_concat(via, right)
                 cur = graph.setdefault(u, {})
                 cur[v] = sl_union(cur.get(v, ()), add)
-                incoming.setdefault(v, set()).add(u)
+                incoming.setdefault(v, {})[u] = None
         for v in outs:
-            incoming.get(v, set()).discard(x)
+            incoming.get(v, {}).pop(x, None)
     return graph.get(src, {}).get(snk, ())
 
 
@@ -698,11 +671,14 @@ def _end_mode_constraints(modes, k, dims):
 # membership search for nondeterministic machines
 
 
-def _ncm_explore(m: CounterMachine, targets, cap, node_budget=400_000):
+NCM_NODE_BUDGET = 400_000
+
+
+def _ncm_explore(m: CounterMachine, targets, cap):
     """Exact bounded exploration of runs over a word trie.
 
     Returns (accepted, undecided): words proven accepted, and words the
-    counter cap or node budget left unresolved.
+    counter cap or the node budget NCM_NODE_BUDGET left unresolved.
     """
     targets = set(targets)
     prefixes = set()
@@ -731,7 +707,7 @@ def _ncm_explore(m: CounterMachine, targets, cap, node_budget=400_000):
     idx = _index(m)
     exhausted = False
     while work:
-        if len(seen) > node_budget:
+        if len(seen) > NCM_NODE_BUDGET:
             exhausted = True
             break
         w, look, state, counters, budgets = work.pop()
@@ -740,15 +716,8 @@ def _ncm_explore(m: CounterMachine, targets, cap, node_budget=400_000):
             continue
         guard = m.status(counters)
         for t in idx.get((state, look), {}).get(guard, ()):
-            nb = []
-            ok = True
-            for entry, delta in zip(budgets, t.deltas):
-                e = _bump_budget(entry, delta)
-                if m.l is not None and e[1] > m.l:
-                    ok = False
-                    break
-                nb.append(e)
-            if not ok:
+            nb = _step_budgets(budgets, t.deltas, m.l)
+            if nb is None:
                 continue
             nc = tuple(c + d for c, d in zip(counters, t.deltas))
             if any(c > cap for c in nc):
@@ -758,13 +727,13 @@ def _ncm_explore(m: CounterMachine, targets, cap, node_budget=400_000):
                     poisoned_prefixes.add(w + look)
                 continue
             if t.move == RIGHT:
-                fork(w + look, t.dst, nc, tuple(nb))
+                fork(w + look, t.dst, nc, nb)
             else:
-                push((w, look, t.dst, nc, tuple(nb)))
+                push((w, look, t.dst, nc, nb))
     undecided = set()
     for w in targets - accepted:
         if exhausted or w in poisoned_exact or \
-                any(w.startswith(p) for p in poisoned_prefixes):
+                any(w[:i] in poisoned_prefixes for i in range(1, len(w) + 1)):
             undecided.add(w)
     return accepted, undecided
 
@@ -815,22 +784,20 @@ def member(m: CounterMachine, word: str) -> bool:
     return _member_pipeline(m, word)
 
 
+def _words_upto(alphabet, max_len):
+    """Every word of length <= max_len, shortest first, then in alphabet
+    order."""
+    for n in range(max_len + 1):
+        for t in itertools.product(alphabet, repeat=n):
+            yield "".join(t)
+
+
 def enumerate_words(m: CounterMachine, max_len: int) -> list:
     """Accepted words of length <= max_len, shortest first."""
-    words = [
-        "".join(t)
-        for n in range(max_len + 1)
-        for t in itertools.product(m.alphabet, repeat=n)
-    ]
-    if m.deterministic:
-        return [w for w in words if run_deterministic(m, w).verdict == "accept"]
-    if m.l is None:
-        raise InfiniteBudget("enumeration needs a finite reversal budget")
-    accepted, undecided = _ncm_explore(m, set(words), max_len + 16)
-    for w in undecided:
-        if _member_pipeline(m, w):
-            accepted.add(w)
-    return [w for w in words if w in accepted]
+    words = list(_words_upto(m.alphabet, max_len))
+    accepted, undecided = _ncm_explore(m, words, max_len + 16)
+    return [w for w in words
+            if w in accepted or (w in undecided and member(m, w))]
 
 
 # ---------------------------------------------------------------------------
@@ -839,17 +806,14 @@ def enumerate_words(m: CounterMachine, max_len: int) -> list:
 
 def _search_witness(m: CounterMachine, max_len: int) -> str:
     if m.deterministic:
-        for n in range(max_len + 1):
-            for t in itertools.product(m.alphabet, repeat=n):
-                w = "".join(t)
-                if run_deterministic(m, w).verdict == "accept":
-                    return w
+        for w in _words_upto(m.alphabet, max_len):
+            if run_deterministic(m, w).verdict == "accept":
+                return w
         raise AssertionError("witness promised but not found")
     cap = max_len + 16
+    words = list(_words_upto(m.alphabet, max_len))
     while True:
-        words = ["".join(t) for n in range(max_len + 1)
-                 for t in itertools.product(m.alphabet, repeat=n)]
-        accepted, undecided = _ncm_explore(m, set(words), cap)
+        accepted, undecided = _ncm_explore(m, words, cap)
         if accepted:
             return min(accepted, key=lambda w: (len(w), w))
         if not undecided:
@@ -857,32 +821,24 @@ def _search_witness(m: CounterMachine, max_len: int) -> str:
         cap *= 4
 
 
-def _accepted_upto(m: CounterMachine, max_len: int = 6, node_budget=200_000):
-    """Accepted words of length <= max_len found by bounded simulation.
-
-    May under-approximate when the node budget runs out, but every word
-    returned comes from an actual accepting run.
-    """
-    words = ["".join(t) for n in range(max_len + 1)
-             for t in itertools.product(m.alphabet, repeat=n)]
-    if m.deterministic:
-        return {w for w in words
-                if run_deterministic(m, w).verdict == "accept"}
-    accepted, _ = _ncm_explore(m, set(words), max_len + 8, node_budget)
-    return set(accepted)
-
-
-def _probe_witness(m: CounterMachine, max_len: int = 6, node_budget=200_000):
-    """Cheap bounded search for any accepted word; None if none found.
+def _probe_witness(m: CounterMachine):
+    """Accepted words of length <= 6 found by one bounded run search,
+    shortest first; None if it finds none.
 
     Only a shortcut: a miss proves nothing, a hit is re-verified by the
     caller.  It keeps the expensive path-algebra route for the cases
     that actually need a proof of emptiness.
     """
-    accepted = _accepted_upto(m, max_len, node_budget)
-    if accepted:
-        return min(accepted, key=lambda w: (len(w), w))
-    return None
+    words = list(_words_upto(m.alphabet, 6))
+    accepted, _ = _ncm_explore(m, words, 6 + 16)
+    return [w for w in words if w in accepted] or None
+
+
+def _verified(m: CounterMachine, witness: str) -> str:
+    # an explicit check, so that it also runs under python -O
+    if not member(m, witness):
+        raise AssertionError(f"witness {witness!r} is not accepted")
+    return witness
 
 
 def is_empty(m: CounterMachine, want_witness: bool = True):
@@ -893,16 +849,14 @@ def is_empty(m: CounterMachine, want_witness: bool = True):
     """
     probe = _probe_witness(m)
     if probe is not None:
-        assert member(m, probe)
-        return False, (probe if want_witness else None)
+        witness = _verified(m, probe[0])
+        return False, (witness if want_witness else None)
     feasible, hint = _nonempty_feasible(m)
     if not feasible:
         return True, None
     if not want_witness:
         return False, None
-    witness = _search_witness(m, hint)
-    assert member(m, witness)
-    return False, witness
+    return False, _verified(m, _search_witness(m, hint))
 
 
 def is_infinite(m: CounterMachine) -> bool:
@@ -1028,7 +982,7 @@ def prefix_free_check_machine(m: CounterMachine) -> bool:
     # Cheap counterexample probe: any proper-prefix pair among short
     # accepted words settles the question without the product build.
     # A miss proves nothing; the certificate below is the real check.
-    acc = sorted(_accepted_upto(m), key=len)
+    acc = _probe_witness(m) or []
     for i, w in enumerate(acc):
         if any(v.startswith(w) and len(v) > len(w) for v in acc[i + 1:]):
             return False

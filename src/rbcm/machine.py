@@ -99,23 +99,44 @@ def initial_configuration(m: CounterMachine) -> Configuration:
     return Configuration(m.initial, 0, (0,) * m.k, fresh_budgets(m.k))
 
 
-def _bump_budget(entry, delta):
-    """New (dir, used) after applying delta; None if it cannot happen."""
-    d, used = entry
-    if delta == 0:
-        return entry
-    if delta > 0:
-        if d == DIR_UP:
-            return entry
-        if d == DIR_NONE:
-            return (DIR_UP, used)
-        return (DIR_UP, used + 1)
-    if d == DIR_DOWN:
-        return entry
-    # decrement never fires from DIR_NONE (value would be zero), but be safe
-    if d == DIR_NONE:
-        return (DIR_DOWN, used)
-    return (DIR_DOWN, used + 1)
+def _step_budgets(budgets, deltas, l):
+    """Per-counter (direction, used) budgets after applying `deltas`, or
+    None when a counter would pass `l` reversals.
+
+    With l None only the directions are recorded (used stays 0): the
+    count can never block a move, and keeping it would make the
+    annotations of a reversing loop grow forever.
+    """
+    out = []
+    for entry, delta in zip(budgets, deltas):
+        if delta:
+            d, used = entry
+            want = DIR_UP if delta > 0 else DIR_DOWN
+            if d != want:
+                # a decrement never fires from DIR_NONE (the value is zero)
+                if d != DIR_NONE and l is not None:
+                    used += 1
+                    if used > l:
+                        return None
+                entry = (want, used)
+        out.append(entry)
+    return tuple(out)
+
+
+def _reachable(seeds, edges) -> dict:
+    """Nodes reachable from `seeds` along (u, v) `edges`, seeds included,
+    as an insertion-ordered dict (used as an ordered set)."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+    seen = dict.fromkeys(seeds)
+    work = list(seen)
+    while work:
+        for v in adj.get(work.pop(), ()):
+            if v not in seen:
+                seen[v] = None
+                work.append(v)
+    return seen
 
 
 def apply_deltas(counters, deltas):
@@ -194,21 +215,14 @@ def applicable_steps(m, config, symbol):
     guard = m.status(config.counters)
     out = []
     for t in _index(m).get((config.state, symbol), {}).get(guard, ()):
-        budgets = []
-        ok = True
-        for entry, delta in zip(config.budgets, t.deltas):
-            nb = _bump_budget(entry, delta)
-            if m.l is not None and nb[1] > m.l:
-                ok = False
-                break
-            budgets.append(nb)
-        if not ok:
+        budgets = _step_budgets(config.budgets, t.deltas, m.l)
+        if budgets is None:
             continue
         succ = Configuration(
             t.dst,
             config.consumed + (1 if t.move == RIGHT else 0),
             apply_deltas(config.counters, t.deltas),
-            tuple(budgets),
+            budgets,
         )
         out.append((t, succ))
     return out
@@ -217,16 +231,6 @@ def applicable_steps(m, config, symbol):
 def step(m: CounterMachine, config: Configuration, word: str) -> list:
     """Successor configurations of `config` while reading `word`."""
     return [c for _, c in applicable_steps(m, config, current_symbol(m, config, word))]
-
-
-def _lasso_key(m, config):
-    # With an unbounded budget the reversal counts never settle, so key
-    # on directions only; replay soundness is unaffected.
-    if m.l is None:
-        budgets = tuple(d for d, _ in config.budgets)
-    else:
-        budgets = config.budgets
-    return (config.state, m.status(config.counters), budgets)
 
 
 def _find_lasso(segment):
@@ -264,7 +268,8 @@ def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
         if config.consumed == len(word) and config.state in m.finals:
             steps.append((config, None))
             return RunTrace(steps, "accept")
-        segment.append((_lasso_key(m, config), idx, config.counters))
+        key = (config.state, m.status(config.counters), config.budgets)
+        segment.append((key, idx, config.counters))
         if len(segment) > 1:
             cert = _find_lasso(segment)
             if cert is not None:
@@ -310,17 +315,10 @@ def enforce_reversal_control(m: CounterMachine) -> CounterMachine:
         for sym in symbols:
             for guard, ts in idx.get((q, sym), {}).items():
                 for t in ts:
-                    nb = []
-                    ok = True
-                    for entry, delta in zip(bud, t.deltas):
-                        e = _bump_budget(entry, delta)
-                        if e[1] > m.l:
-                            ok = False
-                            break
-                        nb.append(e)
-                    if not ok:
+                    nb = _step_budgets(bud, t.deltas, m.l)
+                    if nb is None:
                         continue
-                    dst = (t.dst, tuple(nb))
+                    dst = (t.dst, nb)
                     if dst not in states:
                         states.add(dst)
                         work.append(dst)
@@ -356,66 +354,68 @@ def _fresh_state(states, base):
     return cand
 
 
-def normalize(m: CounterMachine, modes) -> CounterMachine:
-    """Apply normalisations in a fixed order.
+def combine_budgets(l1, l2):
+    """Reversal budget of a machine that drives the counters of two
+    machines side by side."""
+    if l1 is None or l2 is None:
+        return None
+    return max(l1, l2)
 
-    strip_eot          -- drop end-of-tape transitions, mark the machine unmarked
-    no_stay_into_final -- retarget mid-input stay moves into finals at
-                          non-final twins with identical behaviour
-    totalize_dead_state-- route every missing (state, letter, guard) to a
-                          non-final right-looping sink
-    """
-    modes = set(modes)
-    bad = modes - {"strip_eot", "no_stay_into_final", "totalize_dead_state"}
-    if bad:
-        raise ValueError(f"unknown normalize modes {sorted(bad)}")
-    states = set(m.states)
-    finals = set(m.finals)
-    transitions = list(m.transitions)
-    marked = m.marked
-    initial = m.initial
 
-    if "strip_eot" in modes:
-        transitions = [t for t in transitions if t.symbol != EOT]
-        marked = False
-
-    if "no_stay_into_final" in modes:
-        if not m.deterministic:
-            raise PreconditionViolated("no_stay_into_final needs a deterministic machine")
-        need_twin = {t.dst for t in transitions
-                     if t.move == STAY and t.symbol != EOT and t.dst in finals}
-        twins = {f: ("nsif", f) for f in need_twin}
-        extra = []
-        for f, tw in twins.items():
-            states.add(tw)
-            for t in transitions:
-                if t.src == f:
-                    extra.append(replace(t, src=tw))
-        transitions.extend(extra)
-        transitions = [
-            replace(t, dst=twins[t.dst])
-            if t.move == STAY and t.symbol != EOT and t.dst in twins else t
-            for t in transitions
-        ]
-
-    if "totalize_dead_state" in modes:
-        dead = _fresh_state(states, "_dead")
-        states.add(dead)
-        have = {(t.src, t.symbol, t.guard) for t in transitions}
-        for q in sorted(states, key=repr):
-            for sym in m.alphabet:
-                for g in all_guards(m.k):
-                    if (q, sym, g) not in have:
-                        transitions.append(Transition(q, sym, g, dead, RIGHT, (0,) * m.k))
-
-    return replace(
-        m,
+def build_machine(name, k, l, alphabet, initial, finals, transitions, *,
+                  marked=None, deterministic, budget_explicit=True) -> CounterMachine:
+    """Assemble a machine from its transitions, keeping only the states
+    reachable from `initial`.  `marked` defaults to whether any
+    transition reads the end-of-tape marker."""
+    transitions = tuple(dict.fromkeys(transitions))
+    if marked is None:
+        marked = any(t.symbol == EOT for t in transitions)
+    states = _reachable([initial], ((t.src, t.dst) for t in transitions))
+    return CounterMachine(
+        name=name, k=k, l=l,
         states=frozenset(states),
-        finals=frozenset(finals),
-        transitions=tuple(transitions),
-        marked=marked,
+        alphabet=tuple(alphabet),
         initial=initial,
+        finals=frozenset(f for f in finals if f in states),
+        transitions=tuple(t for t in transitions if t.src in states),
+        marked=marked,
+        deterministic=deterministic,
+        budget_explicit=budget_explicit,
     )
+
+
+def no_stay_into_final(m: CounterMachine) -> CounterMachine:
+    """Retarget mid-input stay moves into final states at non-final twins
+    with identical behaviour."""
+    if not m.deterministic:
+        raise PreconditionViolated("no_stay_into_final needs a deterministic machine")
+    transitions = list(m.transitions)
+    twins = {t.dst: ("nsif", t.dst) for t in transitions
+             if t.move == STAY and t.symbol != EOT and t.dst in m.finals}
+    for f, tw in twins.items():
+        transitions += [replace(t, src=tw) for t in m.transitions if t.src == f]
+    transitions = [
+        replace(t, dst=twins[t.dst])
+        if t.move == STAY and t.symbol != EOT and t.dst in twins else t
+        for t in transitions
+    ]
+    return replace(m, states=m.states | frozenset(twins.values()),
+                   transitions=tuple(transitions))
+
+
+def totalize_dead_state(m: CounterMachine) -> CounterMachine:
+    """Route every missing (state, letter, guard) to a non-final
+    right-looping sink."""
+    dead = _fresh_state(m.states, "_dead")
+    states = m.states | {dead}
+    transitions = list(m.transitions)
+    have = {t.key() for t in transitions}
+    for q in sorted(states, key=repr):
+        for sym in m.alphabet:
+            for g in all_guards(m.k):
+                if (q, sym, g) not in have:
+                    transitions.append(Transition(q, sym, g, dead, RIGHT, (0,) * m.k))
+    return replace(m, states=states, transitions=tuple(transitions))
 
 
 def _guard_after(guard_char, delta):

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import lcm
 
 from .errors import PreconditionViolated
-from .machine import (
-    EOT, RIGHT, CounterMachine, Transition, all_guards,
-)
+from .machine import RIGHT, CounterMachine, Transition, _reachable
 
 
 @dataclass
@@ -100,37 +97,15 @@ def dfa_combine(d1: Dfa, d2: Dfa, mode: str) -> Dfa:
     return Dfa(states, d1.alphabet, init, {q for q in states if final(q)}, delta)
 
 
-def _reachable(d: Dfa):
-    seen = {d.initial}
-    work = [d.initial]
-    while work:
-        q = work.pop()
-        for a in d.alphabet:
-            nxt = d.delta[(q, a)]
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append(nxt)
-    return seen
-
-
-def _coaccessible(d: Dfa):
-    rev = {}
-    for (q, a), p in d.delta.items():
-        rev.setdefault(p, set()).add(q)
-    seen = set(d.finals)
-    work = list(d.finals)
-    while work:
-        q = work.pop()
-        for p in rev.get(q, ()):
-            if p not in seen:
-                seen.add(p)
-                work.append(p)
-    return seen
+def _edges(d: Dfa):
+    return [(q, p) for (q, _a), p in d.delta.items()]
 
 
 def trim_states(d: Dfa):
     """States both reachable and co-accessible."""
-    return _reachable(d) & _coaccessible(d)
+    edges = _edges(d)
+    co = _reachable(d.finals, [(p, q) for q, p in edges])
+    return {q for q in _reachable([d.initial], edges) if q in co}
 
 
 def prefix_free_check_dfa(d: Dfa) -> bool:
@@ -148,7 +123,7 @@ def prefix_free_check_dfa(d: Dfa) -> bool:
 
 def minimize_dfa(d: Dfa) -> Dfa:
     """Moore partition refinement over the reachable part."""
-    reach = _reachable(d)
+    reach = _reachable([d.initial], _edges(d))
     part = {}
     for q in reach:
         part[q] = 0 if q in d.finals else 1
@@ -208,11 +183,11 @@ def unary_canonicalize(d: Dfa) -> UnaryDFA:
         seq.append(nxt)
     accept = frozenset(i for i in range(tail + loop) if seq[i] in mind.finals)
     out = UnaryDFA(tail, loop, accept)
+    q = d.initial
     for i in range(2 * len(d.states) + loop + 1):
-        got = out.accepts(i)
-        want = d.accepts(a * i)
-        if got != want:
+        if out.accepts(i) != (q in d.finals):
             raise AssertionError(f"unary canonicalization mismatch at {i}")
+        q = d.delta[(q, a)]
     return out
 
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass, replace
 from .errors import AlphabetMismatch, NondeterministicInput, PreconditionViolated
 from .machine import (
     EOT, RIGHT, STAY,
-    CounterMachine, Transition, _index, all_guards,
-    enforce_reversal_control, run_deterministic, validate_machine,
+    CounterMachine, Transition, _index, all_guards, build_machine,
+    combine_budgets, enforce_reversal_control, run_deterministic,
+    validate_machine,
 )
-from .constructions import _build, _combine_l
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,9 @@ def inverse_apply(t: CounterTransducer, a: CounterMachine) -> CounterMachine:
                 for ga in all_guards(ka):
                     push(EOT, gt + ga, (qt, "", qa, True), STAY, zt + za)
     finals = {s for s in seen if s[3] and not s[1] and s[2] in ma.finals}
-    return _build(
+    return build_machine(
         t.machine.name + "_invapply", kt + ka,
-        _combine_l(t.machine.l, a.l), mt.alphabet, init, finals, transitions,
+        combine_budgets(t.machine.l, a.l), mt.alphabet, init, finals, transitions,
         marked=True, deterministic=False)
 
 
@@ -192,6 +192,6 @@ def forward_image_ncm(t: CounterTransducer) -> CounterMachine:
                         for x in stay_syms:
                             push(x, gt, (tr.dst, "", nphase), STAY, tr.deltas)
     finals = {s for s in seen if not s[1] and s[0] in mt.finals}
-    return _build(
+    return build_machine(
         t.machine.name + "_image", kt, t.machine.l, out_syms, init, finals,
         transitions, deterministic=False)

@@ -20,10 +20,10 @@ from rbcm.constructions import (
 from rbcm.corpus import load_corpus
 from rbcm.decide import enumerate_words, is_empty, member
 from rbcm.errors import NotPrefixFree
-from rbcm.machine import RIGHT, CounterMachine, Transition
+from rbcm.machine import EOT, RIGHT, STAY, CounterMachine, Transition
 from rbcm.regular import Dfa, full_dfa, machine_from_dfa, word_dfa
 
-from oracles import naive_language, naive_member, words_upto
+from oracles import concat_language, naive_language, naive_member, words_upto
 
 
 def _lang(m, n):
@@ -192,6 +192,21 @@ def test_concat_ncm_examples(m_ab):
     nothing = CounterMachine("void", 0, 0, frozenset({"q"}), ("a", "b"),
                              "q", frozenset(), (), False, True)
     assert is_empty(concat_ncm(nothing, m_ab))[0]
+
+
+def test_concat_ncm_first_machine_accepts_empty_word_through_end_moves(m_ab1):
+    # {"", "a"}: the empty word is accepted only by a move on the end
+    # marker, and "a" only after draining the counter at the end
+    ts = (Transition("q0", EOT, "z", "f", STAY, (0,)),
+          Transition("q0", "a", "z", "q1", RIGHT, (1,)),
+          Transition("q1", EOT, "p", "q2", STAY, (-1,)),
+          Transition("q2", EOT, "z", "f", STAY, (0,)))
+    m1 = CounterMachine("eps_or_a", 1, 1, frozenset({"q0", "q1", "q2", "f"}),
+                        ("a", "b"), "q0", frozenset({"f"}), ts, True, True)
+    out = concat_ncm(m1, m_ab1)
+    expected = concat_language(naive_language(m1, 6), naive_language(m_ab1, 6), 6)
+    assert "ab" in expected
+    assert _lang(out, 6) == expected
 
 
 def test_inverse_insertion_modes(m_ab1):

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rbcm.corpus import load_corpus
+from rbcm import decide
 from rbcm.decide import (
+    _ncm_explore,
+    _probe_witness,
     compare,
     end_marker_behavior,
     enumerate_words,
@@ -23,6 +31,7 @@ from rbcm.machine import (
     CounterMachine,
     Transition,
     enforce_reversal_control,
+    run_deterministic,
 )
 
 from oracles import naive_member, words_upto
@@ -72,9 +81,86 @@ def test_is_empty_on_corpus_and_witnesses(corpus_machines):
     for m in corpus_machines:
         depth = 10 if len(m.alphabet) <= 2 else 7
         empty, witness = is_empty(m)
-        assert empty == (enumerate_words(m, depth) == ())
+        assert empty == (enumerate_words(m, depth) == [])
         if not empty:
             assert witness is not None and member(m, witness)
+
+
+def test_unbounded_reversing_stay_loop_is_explored_exactly():
+    """a^n b^n, but an 'a' after the b's starts a stay loop whose counter
+    reverses forever; with `reversals inf` the exploration must still
+    settle every word."""
+    ts = [Transition("s0", "a", g, "s0", RIGHT, (1,)) for g in "zp"]
+    ts += [Transition("s0", "b", "p", "s1", RIGHT, (-1,)),
+           Transition("s1", "b", "p", "s1", RIGHT, (-1,)),
+           Transition("s0", EOT, "z", "f", STAY, (0,)),
+           Transition("s1", EOT, "z", "f", STAY, (0,)),
+           Transition("s1", "a", "z", "t", STAY, (1,)),
+           Transition("t", "a", "p", "u", STAY, (-1,)),
+           Transition("u", "a", "z", "t", STAY, (1,))]
+    m = CounterMachine("revloop", 1, None, frozenset({"s0", "s1", "f", "t", "u"}),
+                       ("a", "b"), "s0", frozenset({"f"}), tuple(ts), True, True)
+    assert run_deterministic(m, "aba").verdict == "diverge"
+    words = list(words_upto(m.alphabet, 6))
+    _accepted, undecided = _ncm_explore(m, words, 6 + 16)
+    assert not undecided
+    assert enumerate_words(m, 6) == [
+        w for w in words if run_deterministic(m, w).verdict == "accept"]
+
+
+def test_probe_is_one_bounded_search(monkeypatch):
+    """Accepts only 'a', after a stay run that lifts the counter to 25,
+    past the probe's cap: the probe misses the word without settling it
+    with `member`, enumeration settles it, and emptiness proves it."""
+    n = 25
+    ts = [Transition("s0", "a", "z", "c0", RIGHT, (0,))]
+    ts += [Transition(f"c{i}", EOT, "z" if i == 0 else "p", f"c{i + 1}", STAY, (1,))
+           for i in range(n)]
+    ts += [Transition(f"c{n}", EOT, "p", f"c{n}", STAY, (-1,)),
+           Transition(f"c{n}", EOT, "z", "f", STAY, (0,))]
+    states = frozenset({"s0", "f"} | {f"c{i}" for i in range(n + 1)})
+    m = CounterMachine("late", 1, 1, states, ("a",), "s0", frozenset({"f"}),
+                       tuple(ts), True, True)
+    assert run_deterministic(m, "a").verdict == "accept"
+    with monkeypatch.context() as p:
+        p.setattr(decide, "member", lambda *_: pytest.fail("probe called member"))
+        assert _probe_witness(m) is None
+    assert enumerate_words(m, 3) == ["a"]
+    assert is_empty(m) == (False, "a")
+
+
+def _run_python(code, *flags, hashseed="0"):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": hashseed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_parikh_image_is_the_same_in_every_process():
+    code = ("from rbcm.corpus import load_corpus\n"
+            "from rbcm.decide import parikh_image\n"
+            "m = load_corpus('M_neq').artifact\n"
+            "print([(c.base, sorted(c.periods)) for c in parikh_image(m)])\n")
+    runs = [_run_python(code, hashseed=seed) for seed in ("1", "2")]
+    for r in runs:
+        assert r.returncode == 0, r.stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
+def test_witness_check_runs_under_optimize():
+    code = ("import rbcm.decide as d\n"
+            "from rbcm.corpus import load_corpus\n"
+            "print('optimized' if not __debug__ else 'debug')\n"
+            "d.member = lambda m, w: False\n"
+            "try:\n"
+            "    d.is_empty(load_corpus('M_ab').artifact)\n"
+            "except AssertionError as exc:\n"
+            "    print('rejected:', exc)\n")
+    r = _run_python(code, "-O")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[0] == "optimized"
+    assert "rejected: witness" in r.stdout
 
 
 def test_is_empty_detects_empty_languages():
