@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Exit codes: 0 true/success, 1 false/negative verdict, 2 usage error,
-3 precondition violation, 4 file parse error.
+3 precondition violation, 4 file parse error, 5 internal error.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import constructions, decide, transducer
 from .corpus import CATALOG, corpus_text, load_corpus
@@ -23,6 +24,7 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_PARSE = 4
+EXIT_INTERNAL = 5
 
 
 def _load(path):
@@ -345,6 +347,11 @@ def run_cli(argv=None) -> int:
     except MachineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        # a fault in the library must not read as a "false" verdict
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main():

@@ -433,15 +433,19 @@ def concat_pf_dcmne_dcm(m1: CounterMachine, m2: CounterMachine) -> CounterMachin
 
 
 def prepare_for_regular_concat(m: CounterMachine) -> CounterMachine:
-    """Budget-explicit, stay-acyclic, total machine with no stays into
-    finals: the shape the subset construction below needs."""
+    """Budget-explicit, total machine with no stays into finals whose
+    stay runs all terminate: the shape the subset construction below
+    needs.  The cheap acyclicity check runs first; a machine with a stay
+    cycle is still accepted when `stay_runs_terminate` certifies it (a
+    drain such as `q b p -> q S -1`)."""
     if m.marked or any(t.symbol == EOT for t in m.transitions):
         raise PreconditionViolated("regular concatenation needs an unmarked machine")
     if not m.deterministic:
         raise PreconditionViolated("regular concatenation needs determinism")
     me = enforce_reversal_control(m)
-    if not stay_acyclic_check(me):
-        raise PreconditionViolated("machine has a stay cycle; cannot totalize")
+    if not stay_acyclic_check(me) and not stay_runs_terminate(me):
+        raise PreconditionViolated(
+            "machine has a stay cycle that may not terminate; cannot totalize")
     return totalize_dead_state(no_stay_into_final(me))
 
 

@@ -12,6 +12,7 @@ take any counter through more than `l` direction reversals are cut off.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
@@ -58,7 +59,7 @@ class CounterMachine:
     budget_explicit: bool = False
 
     def status(self, counters) -> str:
-        return "".join(POS if c > 0 else ZERO for c in counters)
+        return "".join([POS if c > 0 else ZERO for c in counters])
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,9 @@ class DivergenceCertificate:
     Step indices t1 < t2 in the trace share state, guard pattern and
     budget annotation, consume no input in between, and every counter
     grows by `growth[i] >= 0`; strictly growing counters stay positive
-    throughout the window, so the segment repeats forever.
+    throughout the window, so the segment repeats forever.  `t2` is the
+    first step of the run at which any such lasso closes, and `t1` is the
+    earliest step that closes one with it.
     """
 
     t1: int
@@ -140,7 +143,7 @@ def _reachable(seeds, edges) -> dict:
 
 
 def apply_deltas(counters, deltas):
-    return tuple(c + d for c, d in zip(counters, deltas))
+    return tuple(map(operator.add, counters, deltas))
 
 
 def validate_machine(m: CounterMachine) -> list:
@@ -233,60 +236,71 @@ def step(m: CounterMachine, config: Configuration, word: str) -> list:
     return [c for _, c in applicable_steps(m, config, current_symbol(m, config, word))]
 
 
-def _find_lasso(segment):
-    """Look for a certified repeat at the last entry of the stay segment."""
-    key, t2, c2 = segment[-1]
-    for pos in range(len(segment) - 1):
-        key1, t1, c1 = segment[pos]
-        if key1 != key:
-            continue
-        growth = tuple(b - a for a, b in zip(c1, c2))
-        if any(g < 0 for g in growth):
-            continue
-        ok = True
-        for i, g in enumerate(growth):
-            if g > 0:
-                # counter i must never sit at zero anywhere in [t1, t2]
-                if any(entry[2][i] == 0 for entry in segment[pos:]):
-                    ok = False
-                    break
-        if ok:
-            return DivergenceCertificate(t1, t2, growth)
-    return None
-
-
 def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
-    """Run a deterministic machine, with exact divergence detection."""
+    """Run a deterministic machine, with exact divergence detection.
+
+    The run diverges at step t2 when an earlier step t1 of the same stay
+    segment (the steps since the last input-consuming move) has the same
+    state, guard pattern and budget annotation, no counter is smaller at
+    t2, and every strictly growing counter stayed positive throughout
+    [t1, t2].  The certificate's t2 is the first step at which any such
+    lasso closes, and its t1 is the earliest step that qualifies.
+
+    Cost: O(k) per step when `m.l` is finite.  Two steps with the same
+    annotation have the same (direction, used) for every counter, so no
+    counter reversed between them: a counter that fell can never climb
+    back, and a key keeps only its latest step.  With `m.l` None the
+    directions may flip and return, so every earlier step of the key is
+    kept and checked.
+    """
     if not m.deterministic:
         raise NondeterministicInput("run_deterministic needs a deterministic machine")
+    index = _index(m)
+    prune = m.l is not None
     config = initial_configuration(m)
     steps = []
     # stay segment bookkeeping since the last input-consuming move:
-    segment = []        # [(lasso key, trace index, counters)]
+    earlier = {}              # lasso key -> [(trace index, counters)]
+    last_zero = [-1] * m.k    # last trace index at which counter i was 0
     while True:
-        idx = len(steps)
-        if config.consumed == len(word) and config.state in m.finals:
+        t2 = len(steps)
+        state, consumed, counters, budgets = (
+            config.state, config.consumed, config.counters, config.budgets)
+        if consumed == len(word) and state in m.finals:
             steps.append((config, None))
             return RunTrace(steps, "accept")
-        key = (config.state, m.status(config.counters), config.budgets)
-        segment.append((key, idx, config.counters))
-        if len(segment) > 1:
-            cert = _find_lasso(segment)
-            if cert is not None:
+        status = m.status(counters)
+        for i, c in enumerate(counters):
+            if not c:
+                last_zero[i] = t2
+        entries = earlier.setdefault((state, status, budgets), [])
+        for t1, c1 in entries:
+            growth = tuple(b - a for a, b in zip(c1, counters))
+            if all(g >= 0 for g in growth) and \
+                    all(last_zero[i] < t1 for i, g in enumerate(growth) if g):
                 steps.append((config, None))
-                return RunTrace(steps, "diverge", cert)
-        options = applicable_steps(m, config, current_symbol(m, config, word))
+                return RunTrace(steps, "diverge", DivergenceCertificate(t1, t2, growth))
+        if prune:
+            entries.clear()     # none of them can qualify later (see above)
+        entries.append((t2, counters))
+        symbol = word[consumed] if consumed < len(word) else EOT
+        options = []
+        for t in index.get((state, symbol), {}).get(status, ()):
+            nb = _step_budgets(budgets, t.deltas, m.l)
+            if nb is not None:
+                options.append((t, nb))
         if not options:
             steps.append((config, None))
             return RunTrace(steps, "reject")
         if len(options) > 1:
-            raise NondeterministicInput(
-                f"multiple transitions applicable from {config.state!r}")
-        t, succ = options[0]
+            raise NondeterministicInput(f"multiple transitions applicable from {state!r}")
+        t, nb = options[0]
         steps.append((config, t))
         if t.move == RIGHT:
-            segment = []
-        config = succ
+            consumed += 1
+            earlier = {}
+            last_zero = [-1] * m.k
+        config = Configuration(t.dst, consumed, apply_deltas(counters, t.deltas), nb)
 
 
 def accepts(m: CounterMachine, word: str) -> bool:

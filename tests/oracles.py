@@ -6,6 +6,10 @@ test.  It is exact for machines whose stay transitions never increase a
 counter (all bundled and generated machines satisfy this), because then
 counter values are bounded by the word length and the configuration
 space is finite.
+
+`lasso_run` is the deterministic run with the full stay-segment lasso
+scan, the reference for `machine.run_deterministic`'s verdicts, traces
+and divergence certificates.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from rbcm.machine import DIR_DOWN, DIR_NONE, DIR_UP, EOT, RIGHT, STAY
+from rbcm.machine import DIR_DOWN, DIR_NONE, DIR_UP, EOT, POS, RIGHT, STAY, ZERO
 
 
 def words_upto(alphabet, max_len):
@@ -69,6 +73,68 @@ def naive_member(m, word, node_cap=2_000_000):
                 seen.add(nxt)
                 queue.append(nxt)
     return False
+
+
+def lasso_run(m, word, step_cap=20_000):
+    """Run a deterministic machine, rescanning the stay segment each step.
+
+    Returns (verdict, steps, certificate).  `steps` holds one
+    (state, consumed, counters, budgets, transition or None) tuple per
+    configuration.  The run diverges at the first step t2 that has an
+    earlier step t1 in the same stay segment (no input consumed since t1)
+    with the same state, guard pattern and budgets, where no counter is
+    smaller at t2 and every strictly growing counter is positive at every
+    step of [t1, t2]; the certificate is (t1, t2, growth) for the earliest
+    such t1.  Budgets keep directions only (used stays 0) when l is None.
+    Raises RuntimeError past `step_cap` steps.
+    """
+    state, pos, counters = m.initial, 0, (0,) * m.k
+    budgets = ((DIR_NONE, 0),) * m.k
+    steps = []
+    seg_start = 0
+
+    def guard(cs):
+        return "".join(POS if c > 0 else ZERO for c in cs)
+
+    while True:
+        t2 = len(steps)
+        if t2 > step_cap:
+            raise RuntimeError("lasso_run step cap exceeded")
+        here = (state, pos, counters, budgets)
+        if pos == len(word) and state in m.finals:
+            return "accept", steps + [here + (None,)], None
+        for t1 in range(seg_start, t2):
+            s1, _, c1, b1, _ = steps[t1]
+            if (s1, guard(c1), b1) != (state, guard(counters), budgets):
+                continue
+            growth = tuple(b - a for a, b in zip(c1, counters))
+            if any(g < 0 for g in growth):
+                continue
+            if all(steps[t][2][i] > 0 for i, g in enumerate(growth) if g > 0
+                   for t in range(t1, t2)):
+                return "diverge", steps + [here + (None,)], (t1, t2, growth)
+        symbol = word[pos] if pos < len(word) else EOT
+        moves = []
+        for t in m.transitions:
+            if (t.src, t.symbol, t.guard) != (state, symbol, guard(counters)):
+                continue
+            nb = tuple(_bump(e, d) for e, d in zip(budgets, t.deltas))
+            if m.l is None:
+                nb = tuple((d, 0) for d, _ in nb)
+            elif any(u > m.l for _, u in nb):
+                continue
+            moves.append((t, nb))
+        if not moves:
+            return "reject", steps + [here + (None,)], None
+        if len(moves) > 1:
+            raise ValueError("lasso_run needs a deterministic machine")
+        t, budgets = moves[0]
+        steps.append(here + (t,))
+        state = t.dst
+        counters = tuple(c + d for c, d in zip(counters, t.deltas))
+        if t.move == RIGHT:
+            pos += 1
+            seg_start = len(steps)
 
 
 def naive_language(m, max_len):

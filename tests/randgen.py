@@ -3,7 +3,9 @@
 Machines have at most 4 states, at most 2 counters, reversal budget 1
 and an alphabet of at most 2 letters.  Stay transitions never increase a
 counter, which keeps the naive oracle exact and rules out unbounded
-stay pumping.
+stay pumping.  `stay_up=True` lifts that restriction for the tests of
+the deterministic run: stay moves may then add +1, and half of them loop
+on their source state, which gives pumps and terminating drains.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from rbcm.machine import (
 
 
 def rand_machine(rng: random.Random, *, max_states=4, max_k=2, alphabet="ab",
-                 deterministic=True, marked=None, name=None) -> CounterMachine:
+                 deterministic=True, marked=None, name=None, l=1,
+                 stay_up=False, density=0.8) -> CounterMachine:
     n = rng.randint(1, max_states)
     k = rng.randint(0, max_k)
     if marked is None:
@@ -39,7 +42,7 @@ def rand_machine(rng: random.Random, *, max_states=4, max_k=2, alphabet="ab",
             for guard in all_guards(k):
                 fanout = 0
                 if deterministic:
-                    if rng.random() < 0.8:
+                    if rng.random() < density:
                         fanout = 1
                 else:
                     fanout = rng.choice((0, 1, 1, 2))
@@ -50,10 +53,14 @@ def rand_machine(rng: random.Random, *, max_states=4, max_k=2, alphabet="ab",
                         move = STAY
                     else:
                         move = RIGHT if rng.random() < 0.85 else STAY
+                    if stay_up and move == STAY and rng.random() < 0.5:
+                        dst = src
                     deltas = []
                     for i in range(k):
                         if move == STAY:
                             pool = (0, 0, -1) if guard[i] == POS else (0,)
+                            if stay_up:
+                                pool += (1,)
                         else:
                             pool = (0, 1, -1, 0) if guard[i] == POS else (0, 1, 0)
                         deltas.append(rng.choice(pool))
@@ -64,7 +71,7 @@ def rand_machine(rng: random.Random, *, max_states=4, max_k=2, alphabet="ab",
                     transitions.append(t)
     m = CounterMachine(
         name=name or f"rand{rng.randint(0, 10**6)}",
-        k=k, l=1, states=frozenset(states), alphabet=tuple(alphabet),
+        k=k, l=l, states=frozenset(states), alphabet=tuple(alphabet),
         initial=states[0], finals=finals, transitions=tuple(transitions),
         marked=marked, deterministic=deterministic)
     assert validate_machine(m) == [], validate_machine(m)

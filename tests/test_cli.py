@@ -1,6 +1,7 @@
 """End-to-end tests for the rbcm command line interface."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import rbcm
 from rbcm.cli import run_cli
 from rbcm.corpus import CATALOG, corpus_text
 from rbcm.fileformat import parse_machine, serialize_machine
@@ -123,6 +125,19 @@ def test_infinite_reversal_budget_is_precondition_error(tmp_path):
     assert run_cli(["infinite", str(f)]) == 3
 
 
+@pytest.mark.parametrize("exc", [RuntimeError("solver lost a row"),
+                                 AssertionError("witness re-check failed")])
+def test_internal_error_is_not_a_false_verdict(mab, monkeypatch, capsys, exc):
+    from rbcm import decide
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(decide, "is_empty", broken)
+    assert run_cli(["empty", mab]) == 5
+    assert f"internal error: {type(exc).__name__}: {exc}" in capsys.readouterr().err
+
+
 def test_usage_errors(mab):
     assert run_cli([]) == 2
     assert run_cli(["member", mab]) == 2
@@ -159,6 +174,11 @@ def test_installed_entry_point(mab):
         cmd = [sys.executable, "-m", "rbcm"]
     else:
         cmd = [exe]
+    # the child finds the package under test also when only pytest's
+    # `pythonpath` setting put it on sys.path
+    src = str(Path(rbcm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(cmd + ["member", mab, "--word", "ab"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0

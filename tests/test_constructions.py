@@ -20,7 +20,11 @@ from rbcm.constructions import (
 from rbcm.corpus import load_corpus
 from rbcm.decide import enumerate_words, is_empty, member
 from rbcm.errors import NotPrefixFree
-from rbcm.machine import EOT, RIGHT, STAY, CounterMachine, Transition
+from rbcm.fileformat import parse_machine
+from rbcm.machine import (
+    EOT, RIGHT, STAY, CounterMachine, Transition, enforce_reversal_control,
+    stay_acyclic_check,
+)
 from rbcm.regular import Dfa, full_dfa, machine_from_dfa, word_dfa
 
 from oracles import concat_language, naive_language, naive_member, words_upto
@@ -157,6 +161,40 @@ def test_concat_dcm1_regular_and_inverse_prefix(m_ab, m_ab1):
               if any(naive_member(m_ab1, w[:i]) for i in range(len(w) + 1))}
     assert {w for w in words_upto("ab", 6) if member(pref, w)} == expect
     assert member(pref, "abba") and not member(pref, "ba")
+
+
+# a^n b^n (n >= 1), or a^n b^j a^i with 1 <= j < n and i >= 1: the first
+# `a` after the b's drains what is left of the counter with the
+# terminating stay cycle `q3 a p -> q3 S -1`, the machine's only one.
+DRAIN = """
+machine drain
+kind dcm
+acceptance marked
+counters 1
+reversals 1
+alphabet a b
+states q0 q1 q3 q4 acc
+initial q0
+final acc
+trans q0 a * -> q0 R +1
+trans q0 b p -> q1 R -1
+trans q1 b p -> q1 R -1
+trans q1 a p -> q3 S 0
+trans q3 a p -> q3 S -1
+trans q3 a z -> q4 R 0
+trans q4 a z -> q4 R 0
+trans q1 $ z -> acc S 0
+trans q4 $ z -> acc S 0
+"""
+
+
+def test_inverse_prefix_accepts_terminating_stay_drain():
+    m = parse_machine(DRAIN)
+    assert not stay_acyclic_check(enforce_reversal_control(m))
+    pref = inverse_prefix_dcm1(m)
+    for w in words_upto("ab", 7):
+        expect = any(naive_member(m, w[:i]) for i in range(len(w) + 1))
+        assert member(pref, w) == expect, w
 
 
 def test_concat_pf_regular_dcm_examples(m_ab):

@@ -1,9 +1,15 @@
+import dataclasses
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbcm.corpus import load_corpus
+from rbcm.decide import member
 from rbcm.errors import NondeterministicInput
+from rbcm.fileformat import parse_machine
 from rbcm.machine import (
     EOT,
     RIGHT,
@@ -16,8 +22,8 @@ from rbcm.machine import (
     validate_machine,
 )
 
-from oracles import naive_member, words_upto
-from randgen import machine_pool
+from oracles import lasso_run, naive_member, words_upto
+from randgen import machine_pool, rand_machine
 
 
 def _mk(transitions, *, k=1, l=1, states=("s0", "s1"), initial="s0",
@@ -96,6 +102,107 @@ def test_divergence_has_replayable_certificate():
     c2 = trace.steps[cert.t2][0]
     assert c1.state == c2.state and c1.consumed == c2.consumed
     assert all(g >= 0 for g in cert.growth)
+
+
+def _same_as_lasso_oracle(m, word):
+    """Compare run_deterministic with the full-segment scan; returns the
+    verdict, or None when the oracle's step cap cut the run short."""
+    try:
+        verdict, steps, cert = lasso_run(m, word)
+    except RuntimeError:
+        return None
+    trace = run_deterministic(m, word)
+    got = [(c.state, c.consumed, c.counters, c.budgets, t) for c, t in trace.steps]
+    got_cert = None if trace.certificate is None else (
+        trace.certificate.t1, trace.certificate.t2, trace.certificate.growth)
+    assert (trace.verdict, got, got_cert) == (verdict, steps, cert), (m, word)
+    return verdict
+
+
+def test_run_deterministic_matches_lasso_oracle():
+    rng = random.Random(2024)
+    seen = {}
+    for i in range(400):
+        m = rand_machine(rng, max_k=3, l=rng.choice((0, 1, 2, 3, None)),
+                         stay_up=True, density=rng.choice((0.8, 1.0)), name=f"r{i}")
+        for _ in range(8):
+            n = rng.randint(0, 60)
+            j = rng.randint(0, n)
+            w = ("".join(rng.choice("ab") for _ in range(n)) if rng.random() < 0.5
+                 else "a" * j + "b" * (n - j))
+            v = _same_as_lasso_oracle(m, w)
+            seen[v] = seen.get(v, 0) + 1
+    assert min(seen.get(v, 0) for v in ("accept", "reject", "diverge")) > 200, seen
+    assert seen.get(None, 0) < 10, seen
+    # long terminating drains, under the corpus budgets and under `reversals inf`
+    mod, neq = load_corpus("mod_counter").artifact, load_corpus("M_neq").artifact
+    for m in (mod, neq):
+        for machine in (m, dataclasses.replace(m, l=None)):
+            for n in (0, 1, 2, 57, 300):
+                word = "a" * n if m is mod else "#" + "a" * n + "b" * (n + n % 2) + "#"
+                assert _same_as_lasso_oracle(machine, word) is not None
+
+
+# Under `reversals inf`: the counter is zero between two visits of one
+# key, so the growth between them proves nothing and the run rejects.
+ZERO_BETWEEN = """
+machine zero_between
+kind dcm
+acceptance marked
+counters 1
+reversals inf
+alphabet a
+states q0 q1 q2 q3 f
+initial q0
+final f
+trans q0 $ z -> q1 S +1
+trans q1 $ p -> q2 S -1
+trans q2 $ z -> q3 S +1
+trans q3 $ p -> q1 S +1
+"""
+# Under `reversals inf`: P is visited at (3, 2), then (2, 1), then (3, 2)
+# again; the lasso closes against the first visit, not the fallen second.
+FALL_THEN_REPEAT = """
+machine fall_then_repeat
+kind dcm
+acceptance marked
+counters 2
+reversals inf
+alphabet a
+states s s1 s2 s3 s4 P Q U V W f
+initial s
+final f
+trans s $ zz -> s1 S +1 +1
+trans s1 $ pp -> s2 S +1 +1
+trans s2 $ pp -> s3 S +1 +1
+trans s3 $ pp -> s4 S +1 0
+trans s4 $ pp -> P S -1 -1
+trans P $ pp -> Q S -1 -1
+trans Q $ pp -> P S 0 0
+trans Q $ pz -> U S +1 +1
+trans U $ pp -> V S +1 +1
+trans V $ pp -> W S +1 +1
+trans W $ pp -> P S -1 -1
+"""
+
+
+@pytest.mark.parametrize("text, verdict, cert", [
+    (ZERO_BETWEEN, "reject", None),
+    (FALL_THEN_REPEAT, "diverge", (5, 12, (0, 0))),
+])
+def test_unbounded_budget_keeps_every_earlier_step(text, verdict, cert):
+    m = parse_machine(text)
+    assert _same_as_lasso_oracle(m, "") == verdict
+    got = run_deterministic(m, "").certificate
+    assert (got and (got.t1, got.t2, got.growth)) == cert
+
+
+def test_long_drains_cost_linear_time():
+    mod, neq = load_corpus("mod_counter").artifact, load_corpus("M_neq").artifact
+    start = time.perf_counter()
+    assert member(mod, "a" * 20_000)
+    assert member(neq, "#" + "a" * 20_001 + "b" * 20_000 + "#")
+    assert time.perf_counter() - start < 10
 
 
 def test_enforce_reversal_control_preserves_language(det_pool):
