@@ -10,6 +10,7 @@ feasibility checks over the resulting linear sets.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -54,21 +55,16 @@ def sl_zero(dims) -> SemilinearSet:
 
 
 def sl_dedup(comps) -> SemilinearSet:
-    out = []
-    seen = set()
-    for c in comps:
-        if c in seen:
-            continue
-        seen.add(c)
-        out.append(c)
-    # drop components whose base and periods are covered by a sibling
-    pruned = []
+    """Drop exact repeats, then every component whose periods are covered
+    by a sibling with the same base; survivors keep their first order."""
+    out = tuple(dict.fromkeys(comps))
+    if len(out) < 2:
+        return out  # most calls: a single component
+    by_base = {}
     for c in out:
-        covered = any(o is not c and o.base == c.base and c.periods <= o.periods
-                      for o in out)
-        if not covered:
-            pruned.append(c)
-    return tuple(pruned)
+        by_base.setdefault(c.base, []).append(c.periods)
+    # distinct components with one base differ in periods: covers are strict
+    return tuple(c for c in out if not any(c.periods < p for p in by_base[c.base]))
 
 
 def sl_union(a: SemilinearSet, b: SemilinearSet) -> SemilinearSet:
@@ -567,7 +563,14 @@ def _trim_phase_automaton(pa: PhaseAutomaton):
 
 
 def _parikh_paths(pa: PhaseAutomaton, target, weight, dims):
-    """Exact Parikh image (under `weight`) of paths initial -> target."""
+    """Exact Parikh image (under `weight`) of paths initial -> target.
+
+    Nodes are eliminated least in*out degree first, ties broken by their
+    reachability order.  A heap with lazy deletion picks each node in
+    O(log n): an elimination re-scores only its neighbours.  The set
+    algebra then costs one concatenation per (in, out) pair of each
+    eliminated node, and `sl_dedup` compares components sharing a base.
+    """
     if target not in pa.nodes or pa.initial not in pa.nodes:
         return ()
     src, snk = ("#src",), ("#snk",)
@@ -596,10 +599,17 @@ def _parikh_paths(pa: PhaseAutomaton, target, weight, dims):
         for v in outs:
             incoming.setdefault(v, {})[u] = None
 
-    internal = list(relevant)
-    while internal:
-        x = min(internal, key=lambda n: len(incoming.get(n, ())) * len(graph.get(n, {})))
-        internal.remove(x)
+    def degree(n):
+        return len(incoming.get(n, ())) * len(graph.get(n, {}))
+
+    position = {n: i for i, n in enumerate(relevant)}
+    heap = [(degree(n), i, n) for n, i in position.items()]
+    heapq.heapify(heap)
+    while heap:
+        score, _, x = heapq.heappop(heap)
+        if x not in position or score != degree(x):
+            continue  # eliminated already, or a stale score
+        del position[x]
         outs = graph.pop(x, {})
         ins = incoming.pop(x, {})
         self_loop = outs.pop(x, None)
@@ -617,6 +627,9 @@ def _parikh_paths(pa: PhaseAutomaton, target, weight, dims):
                 incoming.setdefault(v, {})[u] = None
         for v in outs:
             incoming.get(v, {}).pop(x, None)
+        for n in itertools.chain(ins, outs):
+            if n in position:
+                heapq.heappush(heap, (degree(n), position[n], n))
     return graph.get(src, {}).get(snk, ())
 
 

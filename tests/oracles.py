@@ -10,12 +10,17 @@ space is finite.
 `lasso_run` is the deterministic run with the full stay-segment lasso
 scan, the reference for `machine.run_deterministic`'s verdicts, traces
 and divergence certificates.
+
+`min_scan_paths` is state elimination that picks each node by a scan over
+every remaining one, on its own semilinear-set algebra whose `pairwise_dedup`
+compares every component with every other: the reference for
+`decide._parikh_paths` and `decide.sl_dedup`, results and order alike.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import deque, namedtuple
 
 from rbcm.machine import DIR_DOWN, DIR_NONE, DIR_UP, EOT, POS, RIGHT, STAY, ZERO
 
@@ -165,3 +170,121 @@ def dfa_member(d, word):
 
 def dfa_language(d, max_len):
     return {w for w in words_upto(d.alphabet, max_len) if dfa_member(d, w)}
+
+
+Comp = namedtuple("Comp", "base periods")
+
+
+def _comp(base, periods=()):
+    zero = (0,) * len(base)
+    return Comp(tuple(base), frozenset(tuple(p) for p in periods if tuple(p) != zero))
+
+
+def pairwise_dedup(comps):
+    """Drop repeats, then every component whose periods are covered by a
+    sibling with the same base, comparing all pairs; keeps first order.
+    Takes anything with `base` and `periods` (a `Comp` or a `LinearSet`)."""
+    out = []
+    seen = set()
+    for c in comps:
+        if c not in seen:
+            seen.add(c)
+            out.append(c)
+    return tuple(c for c in out
+                 if not any(o is not c and o.base == c.base and c.periods <= o.periods
+                            for o in out))
+
+
+def _concat(a, b):
+    return pairwise_dedup(
+        Comp(tuple(x + y for x, y in zip(ca.base, cb.base)), ca.periods | cb.periods)
+        for ca in a for cb in b)
+
+
+def _star(a):
+    zero = (0,) * len(a[0].base)
+    out = (_comp(zero),)
+    for c in a:
+        if c.base == zero:
+            out = _concat(out, (Comp(zero, c.periods),))
+        else:
+            out = _concat(out, (_comp(zero), Comp(c.base, c.periods | {c.base})))
+    return out
+
+
+def _reach_in_order(seeds, edges):
+    """Reachable nodes in first-visit order of a stack-driven search."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+    seen = dict.fromkeys(seeds)
+    work = list(seen)
+    while work:
+        for v in adj.get(work.pop(), ()):
+            if v not in seen:
+                seen[v] = None
+                work.append(v)
+    return seen
+
+
+class OracleBudgetExceeded(Exception):
+    pass
+
+
+def min_scan_paths(pa, target, weight, dims, cap=None):
+    """Parikh image (under `weight`) of the paths initial -> target of a
+    phase automaton, as a tuple of `Comp`s.  Each step eliminates the
+    first remaining node, in reachability order, of least in*out degree.
+    Raises OracleBudgetExceeded before it deduplicates a set of more than
+    `cap` components, since `pairwise_dedup` is quadratic in that number."""
+    edges = [(e.src, e.dst) for e in pa.edges]
+    if target not in pa.nodes or pa.initial not in pa.nodes:
+        return ()
+    co = _reach_in_order([target], [(v, u) for u, v in edges])
+    relevant = [n for n in _reach_in_order([pa.initial], edges) if n in co]
+    if pa.initial not in relevant or target not in relevant:
+        return ()
+    src, snk = ("#src",), ("#snk",)
+    graph = {}
+
+    def put(u, v, comps):
+        cur = graph.setdefault(u, {})
+        cur[v] = pairwise_dedup(tuple(cur.get(v, ())) + tuple(comps))
+
+    def spend(n):  # called with the size of a set before it is deduplicated
+        if cap is not None and n > cap:
+            raise OracleBudgetExceeded(n)
+
+    for e in pa.edges:
+        if e.src in relevant and e.dst in relevant:
+            put(e.src, e.dst, (_comp(weight(e)),))
+    put(src, pa.initial, (_comp((0,) * dims),))
+    put(target, snk, (_comp((0,) * dims),))
+    incoming = {}
+    for u, outs in graph.items():
+        for v in outs:
+            incoming.setdefault(v, {})[u] = None
+
+    internal = list(relevant)
+    while internal:
+        x = min(internal, key=lambda n: len(incoming.get(n, ())) * len(graph.get(n, {})))
+        internal.remove(x)
+        outs = graph.pop(x, {})
+        ins = incoming.pop(x, {})
+        self_loop = outs.pop(x, None)
+        ins.pop(x, None)
+        spend(2 ** len(self_loop or ()))
+        loop_star = _star(self_loop) if self_loop else (_comp((0,) * dims),)
+        for u in ins:
+            left = graph[u].pop(x, None)
+            if left is None:
+                continue
+            spend(len(left) * len(loop_star))
+            via = _concat(left, loop_star)
+            for v, right in outs.items():
+                spend(len(via) * len(right) + len(graph.get(u, {}).get(v, ())))
+                put(u, v, _concat(via, right))
+                incoming.setdefault(v, {})[u] = None
+        for v in outs:
+            incoming.get(v, {}).pop(x, None)
+    return graph.get(src, {}).get(snk, ())

@@ -6,6 +6,9 @@ counter, which keeps the naive oracle exact and rules out unbounded
 stay pumping.  `stay_up=True` lifts that restriction for the tests of
 the deterministic run: stay moves may then add +1, and half of them loop
 on their source state, which gives pumps and terminating drains.
+
+`lr_machine(R)` builds the fixed family L_R, whose shortest word grows
+as R squared.
 """
 
 from __future__ import annotations
@@ -82,3 +85,29 @@ def machine_pool(seed, count, **kwargs):
     rng = random.Random(seed)
     return [rand_machine(rng, name=f"rand_{seed}_{i}", **kwargs)
             for i in range(count)]
+
+
+def lr_machine(R: int) -> CounterMachine:
+    """L_R = { a^(R*R*p) b^(R*p) c^p : p >= 1 }, deterministic, with 2
+    counters, reversal budget 1 and 2R + 2 states.  Each b costs R
+    decrements of counter 1 (one consuming move plus R - 1 stay moves)
+    and one increment of counter 2; each c costs R decrements of counter
+    2; the end of the tape accepts when both counters are zero."""
+    B = [f"B{i}" for i in range(1, R)] + ["Bd"]
+    C = [f"C{i}" for i in range(1, R)] + ["Cd"]
+    ts = [Transition("A", "a", g, "A", RIGHT, (1, 0)) for g in all_guards(2)]
+    ts += [Transition("A", "b", "pz", B[0], RIGHT, (-1, 1)),
+           Transition("Bd", "b", "pp", B[0], RIGHT, (-1, 1)),
+           Transition("Bd", "c", "zp", C[0], RIGHT, (0, -1)),
+           Transition("Cd", "c", "zp", C[0], RIGHT, (0, -1)),
+           Transition("Cd", EOT, "zz", "F", STAY, (0, 0))]
+    for i in range(R - 1):
+        ts += [Transition(B[i], x, POS + g, B[i + 1], STAY, (-1, 0))
+               for x in ("b", "c", EOT) for g in all_guards(1)]
+        ts += [Transition(C[i], x, "zp", C[i + 1], STAY, (0, -1)) for x in ("c", EOT)]
+    states = frozenset(["A", "F"] + B + C)
+    m = CounterMachine(name=f"L_{R}", k=2, l=1, states=states, alphabet=("a", "b", "c"),
+                       initial="A", finals=frozenset({"F"}), transitions=tuple(ts),
+                       marked=True, deterministic=True)
+    assert validate_machine(m) == [], validate_machine(m)
+    return m

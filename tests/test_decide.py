@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,10 @@ from rbcm.corpus import load_corpus
 from rbcm import decide
 from rbcm.decide import (
     _ncm_explore,
+    _parikh_paths,
     _probe_witness,
+    _weight_counters_letters,
+    build_phase_automaton,
     compare,
     end_marker_behavior,
     enumerate_words,
@@ -18,9 +23,11 @@ from rbcm.decide import (
     linear_feasible,
     linear,
     member,
+    parikh_edges,
     parikh_image,
     prefix_free_check_machine,
     semilinear_member,
+    sl_dedup,
     solve_diophantine,
     to_one_reversal,
 )
@@ -34,7 +41,14 @@ from rbcm.machine import (
     run_deterministic,
 )
 
-from oracles import naive_member, words_upto
+from oracles import (
+    OracleBudgetExceeded,
+    min_scan_paths,
+    naive_member,
+    pairwise_dedup,
+    words_upto,
+)
+from randgen import lr_machine, rand_machine
 
 
 def _three_reversal_machine():
@@ -284,3 +298,88 @@ def test_end_marker_behavior_mod_counter_start_state_is_even():
     u = end_marker_behavior(me, me.initial)
     for i in range(30):
         assert u.accepts(i) == (i % 2 == 0)
+
+
+# ---------------------------------------------------------------------------
+# state elimination against the min-scan, pairwise-dedup oracle
+
+ORACLE_CAP = 2000  # components per set; the oracle's dedup is quadratic in it
+
+
+def _elimination_machines(group, corpus_machines):
+    if group == "corpus":
+        return corpus_machines
+    if group == "L_R":
+        return [lr_machine(R) for R in (1, 2, 3, 4, 6)]
+    # Parikh images grow exponentially with the phase automaton: draw 44
+    # has 256 edges and its largest image 716 676 components.
+    rng = random.Random(5)
+    draws = [rand_machine(rng, l=(1, 2, 3)[i % 3]) for i in range(48)]
+    return [m for m in draws if len(build_phase_automaton(to_one_reversal(m)).edges) <= 64]
+
+
+@pytest.mark.parametrize("group", ["corpus", "L_R", "random"])
+def test_parikh_paths_matches_min_scan_oracle(group, corpus_machines):
+    machines = _elimination_machines(group, corpus_machines)
+    compared = 0
+    for m in machines:
+        pa = build_phase_automaton(to_one_reversal(m))
+        width = len(pa.edges)
+        pos = {e.eid: i for i, e in enumerate(pa.edges)}
+
+        def per_edge(e):
+            return tuple(int(i == pos[e.eid]) for i in range(width))
+
+        weights = [_weight_counters_letters(pa, True), _weight_counters_letters(pa, False),
+                   (per_edge, width)]
+        for target in sorted(pa.accepting, key=repr):
+            for weight, dims in weights:
+                got = _parikh_paths(pa, target, weight, dims)
+                if weight is per_edge:
+                    assert got == parikh_edges(pa, target)
+                try:
+                    want = min_scan_paths(pa, target, weight, dims, cap=ORACLE_CAP)
+                except OracleBudgetExceeded:
+                    continue
+                assert [(c.base, c.periods) for c in got] == list(want), (m.name, target)
+                compared += 1
+    assert len(machines) >= {"corpus": 7, "L_R": 5, "random": 40}[group]
+    assert compared >= {"corpus": 30, "L_R": 15, "random": 250}[group], compared
+
+
+def _random_linear_sets(rng, count):
+    bases = [(0, 0), (1, 0), (0, 2), (1, 1)]
+    pool = [(1, 0), (0, 1), (1, 1), (2, 3)]
+    out = []
+    for _ in range(count):
+        if out and rng.random() < 0.25:
+            c = rng.choice(out)  # the same object again, or an equal copy
+            out.append(c if rng.random() < 0.5 else linear(c.base, c.periods))
+            continue
+        periods = [p for p in pool if rng.random() < 0.5]
+        out.append(linear(rng.choice(bases), periods))
+    return out
+
+
+def test_sl_dedup_matches_pairwise_oracle():
+    rng = random.Random(11)
+    for _ in range(400):
+        comps = _random_linear_sets(rng, rng.randint(0, 30))
+        got, want = sl_dedup(comps), pairwise_dedup(comps)
+        assert got == want
+        assert all(a is b for a, b in zip(got, want))  # first occurrences kept
+
+
+def test_l_r_is_nonempty_and_infinite_up_to_40():
+    for R in range(1, 41):
+        m = lr_machine(R)
+        assert is_empty(m, want_witness=False) == (False, None), R
+        assert is_infinite(m), R
+
+
+def test_m_neq_compare_and_infinite_cost_is_bounded():
+    neq = load_corpus("M_neq").artifact
+    start = time.perf_counter()
+    assert compare(neq, neq, "equal") == (True, None)
+    assert is_infinite(neq)
+    assert time.perf_counter() - start < 30
