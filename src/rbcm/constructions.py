@@ -170,58 +170,61 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
 # ---------------------------------------------------------------------------
 # stay-run termination and boolean operations
 
-# stay_runs_terminate gives up (answers "could not certify") past this
-# many simple stay cycles for one symbol
-STAY_CYCLE_CAP = 2000
+
+def _edges_on_cycles(edges):
+    """The (u, v, ...) edges whose ends share a strongly connected
+    component, i.e. that lie on a cycle (Tarjan's algorithm, iterative)."""
+    adj = {}
+    for e in edges:
+        adj.setdefault(e[0], []).append(e[1])
+    index, low, comp, stack = {}, {}, {}, []
+    for root in adj:
+        work = [] if root in index else [(root, None)]
+        while work:
+            v, succ = work.pop()
+            if succ is None:               # first visit
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                succ = iter(adj.get(v, ()))
+            for w in succ:
+                if w not in index:
+                    work += [(v, succ), (w, None)]
+                    break
+                if w not in comp:          # w is on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    while v not in comp:
+                        comp[stack.pop()] = v
+    return [e for e in edges if comp[e[0]] == comp[e[1]]]
 
 
 def stay_runs_terminate(m: CounterMachine) -> bool:
     """Conservative check that no stay run (per symbol or at the end of
     input) can go on forever.
 
-    For each symbol the stay-move cycles are collected; termination is
-    certified when no non-negative, non-zero combination of their counter
-    effects is component-wise non-negative (so a positive ranking vector
-    exists).  False means "could not certify", not "diverges".
+    For each symbol one LP asks for a nonzero circulation on the stay
+    transitions whose counter effect is >= 0; with none, by Farkas' lemma
+    a linear ranking function falls on every stay cycle (Podelski and
+    Rybalchenko, VMCAI 2004).  It has one variable per distinct (source,
+    target, effect) on a cycle.  Guards are ignored, so False means
+    "could not certify", not "diverges".
     """
-    import networkx as nx
-    from .decide import _fourier_motzkin_feasible
-
     for sym in tuple(m.alphabet) + (EOT,):
-        effect = {}
-        for t in m.transitions:
-            if t.symbol != sym or t.move != STAY:
-                continue
-            key = (t.src, t.dst)
-            if key in effect:
-                effect[key] = tuple(max(a, b) for a, b in zip(effect[key], t.deltas))
-            else:
-                effect[key] = t.deltas
-        if not effect:
-            continue
-        g = nx.DiGraph(list(effect))
-        deltas = []
-        over = False
-        for cyc in nx.simple_cycles(g):
-            if len(deltas) > STAY_CYCLE_CAP:
-                over = True
-                break
-            vec = (0,) * m.k
-            for i, u in enumerate(cyc):
-                v = cyc[(i + 1) % len(cyc)]
-                vec = tuple(a + b for a, b in zip(vec, effect[(u, v)]))
-            deltas.append(vec)
-        if over:
-            return False
-        if not deltas:
-            continue
-        if m.k == 0:
-            return False
-        # feasibility of: y >= 0, sum y >= 1, sum_C y_C * delta_C >= 0
-        n = len(deltas)
-        ineqs = [(tuple(d[i] for d in deltas), 0) for i in range(m.k)]
-        ineqs.append(((1,) * n, 1))
-        if _fourier_motzkin_feasible(ineqs, n):
+        stays = _edges_on_cycles(list(dict.fromkeys(
+            (t.src, t.dst, t.deltas) for t in m.transitions
+            if t.symbol == sym and t.move == STAY)))
+        flow = {}                          # state -> inflow - outflow
+        for j, (u, v, _) in enumerate(stays):
+            if u != v:
+                flow.setdefault(u, [0] * len(stays))[j] -= 1
+                flow.setdefault(v, [0] * len(stays))[j] += 1
+        ges = [(tuple(d[i] for _, _, d in stays), 0) for i in range(m.k)]
+        ges.append(((1,) * len(stays), 1))
+        eqs = [(row, 0) for row in flow.values()]
+        if decide.rational_feasible(eqs, ges, len(stays)) is not None:
             return False
     return True
 

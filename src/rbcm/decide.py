@@ -98,49 +98,50 @@ def sl_star(a: SemilinearSet) -> SemilinearSet:
 # integer feasibility over linear-set multipliers
 
 
-def _fourier_motzkin_feasible(ineqs, nvars, limit=4000):
-    """Rational feasibility of { x >= 0 : sum c_i x_i >= rhs }.
+def rational_feasible(eqs, ges, n):
+    """A rational x >= 0 (a list of n Fractions) with row . x == rhs for
+    every (row, rhs) in eqs and row . x >= rhs for every one in ges, or
+    None when no such x exists.
 
-    Returns False only when certainly infeasible; True means feasible or
-    undecided (when the constraint blow-up limit is hit).
+    Phase one of the simplex method with Bland's rule (least entering
+    column, least leaving variable on ties), so it cannot cycle.  Pivots
+    are fraction-free, each row divided by the gcd of its entries.  Each
+    row starts with an artificial basic variable, or its slack if it is a
+    >= row with rhs <= 0; artificial columns are never stored, since one
+    that leaves the basis stays at 0.
     """
-    # all coefficients are integers, and the elimination step keeps them
-    # integral, so exact bigint arithmetic (gcd-normalized per row) is
-    # both exact and much faster than rationals
-    rows = [tuple(int(c) for c in coeffs) + (int(rhs),) for coeffs, rhs in ineqs]
-    for j in range(nvars):
-        unit = [0] * (nvars + 1)
-        unit[j] = 1
-        rows.append(tuple(unit))
-    for j in range(nvars - 1, -1, -1):
-        pos, neg, rest = [], [], []
-        for r in rows:
-            if r[j] > 0:
-                pos.append(r)
-            elif r[j] < 0:
-                neg.append(r)
-            else:
-                rest.append(r)
-        if len(rest) + len(pos) * len(neg) > limit:
-            return True
-        for p in pos:
-            for n in neg:
-                # p[j] * n - n[j] * p eliminates x_j (coefficient sign care)
-                combo = [p[j] * nv - n[j] * pv for pv, nv in zip(p, n)]
-                g = 0
-                for c in combo:
-                    g = gcd(g, c)
-                if g > 1:
-                    combo = [c // g for c in combo]
-                rest.append(tuple(combo))
-        seen = set()
-        rows = []
-        for r in rest:
-            key = r[:j] + r[j + 1:]
-            if key not in seen:
-                seen.add(key)
-                rows.append(key)
-    return all(r[-1] <= 0 for r in rows)
+    width = n + len(ges)               # x, then one slack per >= row
+    tab, basis = [], []                # rows (coefficients, rhs >= 0); basic columns
+    for i, (row, rhs) in enumerate(itertools.chain(eqs, ges)):
+        r = list(row) + [0] * len(ges) + [rhs]
+        slack = n + i - len(eqs)
+        if slack >= n:
+            r[slack] = -1
+        basic = slack if slack >= n and rhs <= 0 else None
+        tab.append([-c for c in r] if rhs < 0 or basic is not None else r)
+        basis.append(basic)
+    # last row: the phase-one objective, the artificial rows' sum up to a
+    # positive factor; raising column j lowers it iff its entry is > 0
+    tab.append([sum(col) for col in zip([0] * (width + 1), *(
+        r for r, b in zip(tab, basis) if b is None))])
+    while tab[-1][-1]:
+        enter = next((j for j in range(width) if tab[-1][j] > 0), None)
+        if enter is None:
+            return None
+        leave = min((i for i, r in enumerate(tab[:-1]) if r[enter] > 0), key=lambda i: (
+            Fraction(tab[i][-1], tab[i][enter]), width + i if basis[i] is None else basis[i]))
+        prow = tab[leave]
+        p = prow[enter]
+        for i, r in enumerate(tab):
+            a = r[enter]
+            if i != leave and a:
+                r = [p * c - a * pc for c, pc in zip(r, prow)]
+                g = gcd(*r) or 1
+                tab[i] = [c // g for c in r]
+        basis[leave] = enter
+    row_of = dict(zip(basis, tab))
+    return [Fraction(row_of[j][-1], row_of[j][j]) if j in row_of else Fraction(0)
+            for j in range(n)]
 
 
 def _propagate(eqs, ges, lo, hi):
@@ -202,18 +203,10 @@ def _propagate(eqs, ges, lo, hi):
     return lo, hi
 
 
-def linear_feasible(c: LinearSet, constraints):
-    """Find non-negative integer multipliers of c's periods meeting the
-    constraints, or None.
-
-    Constraints are (coeffs, op, rhs) triples over the vector space, with
-    op one of '==', '>=', '<='.  Rational infeasibility and divisibility
-    obstructions are detected exactly; otherwise an integer search runs
-    inside a fixed multiplier window (documented bound), so the answer is
-    exact whenever a solution exists within that window.
-    """
+def _multiplier_rows(c: LinearSet, constraints):
+    """c's sorted periods, and the constraints as (row, rhs) rows over
+    their multipliers n: eqs for row . n == rhs, ges for row . n >= rhs."""
     periods = sorted(c.periods)
-    n = len(periods)
     eqs, ges = [], []
     for coeffs, op, rhs in constraints:
         base_part = sum(cf * bv for cf, bv in zip(coeffs, c.base))
@@ -227,23 +220,24 @@ def linear_feasible(c: LinearSet, constraints):
             ges.append((tuple(-x for x in row), -r))
         else:
             raise ValueError(f"unknown relation {op!r}")
-    # constant rows
-    for row, r in eqs:
-        if not any(row) and r != 0:
-            return None
-    for row, r in ges:
-        if not any(row) and r > 0:
-            return None
-    if n == 0:
-        return {}
+    return periods, eqs, ges
+
+
+def linear_feasible(c: LinearSet, constraints):
+    """Find non-negative integer multipliers of c's periods meeting the
+    constraints, or None.
+
+    Constraints are (coeffs, op, rhs) triples over the vector space, with
+    op one of '==', '>=', '<='.  Rational infeasibility and divisibility
+    obstructions are detected exactly; otherwise an integer search runs
+    inside a fixed multiplier window (documented bound), so the answer is
+    exact whenever a solution exists within that window.
+    """
+    periods, eqs, ges = _multiplier_rows(c, constraints)
+    n = len(periods)
     if not eqs and all(r <= 0 for _, r in ges):
         return {p: 0 for p in periods}
-
-    ineqs = [(row, r) for row, r in ges]
-    for row, r in eqs:
-        ineqs.append((row, r))
-        ineqs.append((tuple(-x for x in row), -r))
-    if n <= 16 and not _fourier_motzkin_feasible(ineqs, n):
+    if rational_feasible(eqs, ges, n) is None:
         return None
 
     # multiplier window; systems arising from small machines have tiny
@@ -885,9 +879,11 @@ def is_infinite(m: CounterMachine) -> bool:
         for comp in _parikh_paths(pa, node, weight, dims):
             if linear_feasible(comp, cons) is None:
                 continue
-            direction = LinearSet((0,) * dims, comp.periods)
             grow = relaxed + [(tuple(letters), ">=", 1)]
-            if linear_feasible(direction, grow) is not None:
+            # homogeneous but for letters >= 1: scaled by its denominators,
+            # a rational direction is an integer one, so the LP is exact
+            _, eqs, ges = _multiplier_rows(LinearSet((0,) * dims, comp.periods), grow)
+            if rational_feasible(eqs, ges, len(comp.periods)) is not None:
                 return True
     return False
 

@@ -15,12 +15,18 @@ and divergence certificates.
 every remaining one, on its own semilinear-set algebra whose `pairwise_dedup`
 compares every component with every other: the reference for
 `decide._parikh_paths` and `decide.sl_dedup`, results and order alike.
+
+`fm_feasible` is Fourier-Motzkin elimination, the reference for
+`decide.rational_feasible`; `stay_cycles_terminate` enumerates the simple
+stay cycles and decides their cone with it, the reference for
+`constructions.stay_runs_terminate`.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque, namedtuple
+from math import gcd
 
 from rbcm.machine import DIR_DOWN, DIR_NONE, DIR_UP, EOT, POS, RIGHT, STAY, ZERO
 
@@ -288,3 +294,90 @@ def min_scan_paths(pa, target, weight, dims, cap=None):
         for v in outs:
             incoming.get(v, {}).pop(x, None)
     return graph.get(src, {}).get(snk, ())
+
+
+def _combine(p, n, j):
+    """p[j] * n - n[j] * p, divided by the gcd of its entries: column j
+    cancels, and with p[j] > 0 > n[j] both rows get positive factors."""
+    combo = [p[j] * nv - n[j] * pv for pv, nv in zip(p, n)]
+    g = gcd(*combo)
+    return tuple(c // g for c in combo) if g > 1 else tuple(combo)
+
+
+def fm_feasible(ineqs, nvars, eqs=()):
+    """Rational feasibility of { x >= 0 : c . x >= rhs for every (c, rhs)
+    in ineqs, c . x == rhs for every one in eqs }, over integer rows.
+
+    Each equality first eliminates one of its variables by substitution
+    (that variable's x >= 0 becomes an inequality); Fourier-Motzkin
+    elimination then removes the variables one at a time.  Exact, and
+    exponential in nvars."""
+    rows = [tuple(c) + (r,) for c, r in ineqs]
+    rows += [tuple(int(i == j) for i in range(nvars)) + (0,) for j in range(nvars)]
+    todo = [tuple(c) + (r,) for c, r in eqs]
+    while todo:
+        e = todo.pop()
+        j = next((v for v in range(nvars) if e[v]), None)
+        if j is None:
+            if e[-1]:
+                return False
+            continue
+        if e[j] < 0:
+            e = tuple(-c for c in e)
+        rows = [_combine(e, r, j) if r[j] else r for r in rows]
+        todo = [_combine(e, r, j) if r[j] else r for r in todo]
+    for j in range(nvars - 1, -1, -1):
+        pos = [r for r in rows if r[j] > 0]
+        neg = [r for r in rows if r[j] < 0]
+        rest = [r for r in rows if r[j] == 0]
+        rows = list(dict.fromkeys(rest + [_combine(p, n, j) for p in pos for n in neg]))
+    return all(r[-1] <= 0 for r in rows)
+
+
+def _simple_cycles(edges):
+    """Every simple cycle of a multigraph given as (src, dst, label)
+    triples, as a list of labels; parallel edges give distinct cycles.
+    Each cycle is found once, from its least vertex in first-seen order."""
+    order = {}
+    for u, v, _ in edges:
+        order.setdefault(u, len(order))
+        order.setdefault(v, len(order))
+    out = {}
+    for u, v, lab in edges:
+        out.setdefault(u, []).append((v, lab))
+    cycles = []
+    for start in order:
+        path, on_path = [], {start}
+
+        def walk(u):
+            for v, lab in out.get(u, ()):
+                if v == start:
+                    cycles.append(path + [lab])
+                elif order[v] > order[start] and v not in on_path:
+                    on_path.add(v)
+                    path.append(lab)
+                    walk(v)
+                    path.pop()
+                    on_path.discard(v)
+
+        walk(start)
+    return cycles
+
+
+def stay_cycles_terminate(m):
+    """True when, for every symbol, no nonzero non-negative combination of
+    the counter effects of its simple stay cycles is >= 0 in every
+    counter: the stay runs then terminate.  Guards are ignored."""
+    for sym in tuple(m.alphabet) + (EOT,):
+        edges = [(t.src, t.dst, t.deltas) for t in m.transitions
+                 if t.symbol == sym and t.move == STAY]
+        effects = list(dict.fromkeys(
+            tuple(map(sum, zip((0,) * m.k, *cyc))) for cyc in _simple_cycles(edges)))
+        if not effects:
+            continue
+        # y >= 0, sum y >= 1, sum_C y_C * effect_C >= 0 in every counter
+        ineqs = [(tuple(e[i] for e in effects), 0) for i in range(m.k)]
+        ineqs.append(((1,) * len(effects), 1))
+        if fm_feasible(ineqs, len(effects)):
+            return False
+    return True

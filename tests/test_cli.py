@@ -168,6 +168,30 @@ def test_round_trip_on_shipped_files(name, tmp_path, capsys):
     assert parse_machine(serialize_machine(reparsed)) == reparsed
 
 
+def test_runs_without_networkx(mab, mab1):
+    """Complement and union need no third-party package: with `networkx`
+    blocked from import, `rbcm compare` (a complement and a product) and
+    `boolean_dcm(..., "or")` still succeed."""
+    script = f"""
+import sys
+sys.modules["networkx"] = None
+from rbcm.cli import run_cli
+from rbcm.constructions import boolean_dcm
+from rbcm.corpus import load_corpus
+from rbcm.decide import member
+print(run_cli(["compare", {mab1!r}, {mab!r}, "--mode", "subset"]))
+either = boolean_dcm(load_corpus("M_ab").artifact, load_corpus("M_ab1").artifact, "or")
+print(member(either, ""), member(either, "ab"), member(either, "ba"))
+"""
+    src = str(Path(rbcm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["0", "True True False"], proc.stdout
+
+
 def test_installed_entry_point(mab):
     exe = shutil.which("rbcm")
     if exe is None:

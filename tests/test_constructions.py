@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import rbcm.constructions as cons
@@ -15,6 +17,7 @@ from rbcm.constructions import (
     make_non_exiting,
     prepare_for_regular_concat,
     product_intersection,
+    stay_runs_terminate,
     strip_end_marker_one_counter,
 )
 from rbcm.corpus import load_corpus
@@ -23,11 +26,15 @@ from rbcm.errors import NotPrefixFree
 from rbcm.fileformat import parse_machine
 from rbcm.machine import (
     EOT, RIGHT, STAY, CounterMachine, Transition, enforce_reversal_control,
-    stay_acyclic_check,
+    run_deterministic, stay_acyclic_check,
 )
 from rbcm.regular import Dfa, full_dfa, machine_from_dfa, word_dfa
 
-from oracles import concat_language, naive_language, naive_member, words_upto
+from oracles import (
+    concat_language, naive_language, naive_member, stay_cycles_terminate,
+    words_upto,
+)
+from randgen import machine_pool, rand_machine
 
 
 def _lang(m, n):
@@ -78,6 +85,59 @@ def test_boolean_and_or(m_ab, m_ab1):
     assert _lang(both, 6) == _lang(m_ab1, 6)
     either = boolean_dcm(m_ab, m_ab1, "or")
     assert _lang(either, 6) == _lang(m_ab, 6)
+
+
+def test_stay_runs_terminate_matches_cycle_oracle(corpus_machines):
+    """The per-symbol circulation LP gives the simple-cycle oracle's
+    verdict on the corpus, the criterion-1 pool and seeded draws (with
+    and without rising stay moves), before and after budget annotation."""
+    machines = (list(corpus_machines)
+                + machine_pool(9001, 80, alphabet="ab")
+                + machine_pool(9002, 20, alphabet="a"))
+    rng = random.Random(5)
+    machines += [rand_machine(rng) for _ in range(200)]
+    rng = random.Random(6)
+    machines += [rand_machine(rng, l=(1, 2, 3, None)[i % 4], stay_up=True)
+                 for i in range(200)]
+    verdicts = []
+    for m in machines:
+        for x in (m, enforce_reversal_control(m)):
+            verdicts.append(stay_runs_terminate(x))
+            assert verdicts[-1] == stay_cycles_terminate(x), m.name
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+# Two stay edges q -> r and two r -> q on the end marker.  Every stay cycle
+# lowers a counter, but a per-coordinate max over parallel edges gives the
+# merged cycle the effect (0, +1), which would hide that.
+PARALLEL_STAYS = """\
+machine parallel_stays
+kind dcm
+acceptance marked
+counters 2
+reversals inf
+alphabet a
+states q r f
+initial q
+final f
+trans q a ** -> q R +1 +1
+trans q $ pp -> r S +1 -1
+trans q $ pz -> r S -1 +1
+trans r $ pp -> q S -1 -1
+trans r $ pz -> q S -1 0
+trans q $ z* -> f S 0 0
+trans r $ zp -> f S 0 0
+trans r $ zz -> f S 0 0
+"""
+
+
+def test_complement_certifies_parallel_stay_edges():
+    m = parse_machine(PARALLEL_STAYS)
+    neg = boolean_dcm(m, None, "not")
+    for w in words_upto("a", 7):
+        run, run_neg = run_deterministic(m, w), run_deterministic(neg, w)
+        assert "diverge" not in (run.verdict, run_neg.verdict), w
+        assert (run.verdict == "accept") != (run_neg.verdict == "accept"), w
 
 
 def test_strip_end_marker_examples(m_ab):

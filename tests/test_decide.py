@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from rbcm.decide import (
     parikh_edges,
     parikh_image,
     prefix_free_check_machine,
+    rational_feasible,
     semilinear_member,
     sl_dedup,
     solve_diophantine,
@@ -43,6 +45,7 @@ from rbcm.machine import (
 
 from oracles import (
     OracleBudgetExceeded,
+    fm_feasible,
     min_scan_paths,
     naive_member,
     pairwise_dedup,
@@ -252,6 +255,30 @@ def test_linear_feasible_basic():
     assert linear_feasible(c, [((1, 0), ">=", 1), ((1, 0), "<=", 0)]) is None
     sol = linear_feasible(c, [((1, -1), "==", 0), ((1, 1), ">=", 4)])
     assert sol is not None
+
+
+def test_rational_feasible_matches_fourier_motzkin():
+    """Seeded systems (n <= 6, at most 5 rows, coefficients in [-3, 3],
+    equality and >= rows): the simplex answers None exactly when
+    Fourier-Motzkin finds the system infeasible, and every x it returns
+    meets every row exactly."""
+    rng = random.Random(2024)
+    feasible = 0
+    for _ in range(2400):
+        n = rng.randint(0, 6)
+        eqs, ges = [], []
+        for _ in range(rng.randint(0, 5)):
+            row = (tuple(rng.randint(-3, 3) for _ in range(n)), rng.randint(-3, 3))
+            (eqs if rng.random() < 0.4 else ges).append(row)
+        x = rational_feasible(eqs, ges, n)
+        assert (x is not None) == fm_feasible(ges, n, eqs), (eqs, ges, n)
+        if x is None:
+            continue
+        feasible += 1
+        assert len(x) == n and all(isinstance(v, Fraction) and v >= 0 for v in x)
+        assert all(sum(c * v for c, v in zip(row, x)) == r for row, r in eqs)
+        assert all(sum(c * v for c, v in zip(row, x)) >= r for row, r in ges)
+    assert 600 < feasible < 1800, feasible
 
 
 def test_solve_diophantine_realizes_solutions():
