@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Exit codes: 0 true/success, 1 false/negative verdict, 2 usage error,
-3 precondition violation, 4 file parse error, 5 internal error.
+3 precondition violation, 4 file parse error or invalid machine (every
+command but `validate` refuses one), 5 internal error.
 """
 
 from __future__ import annotations
@@ -27,13 +28,29 @@ EXIT_PARSE = 4
 EXIT_INTERNAL = 5
 
 
-def _load(path):
+def _read(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc}") from exc
     return parse_machine(text)
+
+
+def _violations(obj):
+    if isinstance(obj, CounterTransducer):
+        return validate_transducer(obj)
+    return validate_machine(obj)
+
+
+def _load(path):
+    """A machine or transducer file that must validate: a verdict on an
+    invalid machine would mean nothing."""
+    obj = _read(path)
+    errors = _violations(obj)
+    if errors:
+        raise ParseError(0, f"{path} is invalid: {errors[0]}")
+    return obj
 
 
 def _load_machine(path):
@@ -91,11 +108,7 @@ class _Report:
 
 
 def _cmd_validate(args, rep):
-    obj = _load(args.file)
-    if isinstance(obj, CounterTransducer):
-        errors = validate_transducer(obj)
-    else:
-        errors = validate_machine(obj)
+    errors = _violations(_read(args.file))
     for e in errors:
         rep.say(f"invalid: {e}")
     rep.details["errors"] = list(errors)

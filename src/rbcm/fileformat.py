@@ -40,26 +40,15 @@ def _expand_guard(guard, k, line):
         return [""]
     if len(guard) != k:
         raise ParseError(line, f"guard {guard!r} needs {k} characters")
-    choices = []
     for ch in guard:
-        if ch == ZERO or ch == POS:
-            choices.append((ch,))
-        elif ch == "*":
-            choices.append((ZERO, POS))
-        else:
+        if ch not in (ZERO, POS, "*"):
             raise ParseError(line, f"bad guard character {ch!r}")
+    choices = (ZERO + POS if ch == "*" else ch for ch in guard)
     return ["".join(c) for c in itertools.product(*choices)]
 
 
-def _parse_trans(tokens, k, line):
-    if len(tokens) < 6 or tokens[3] != "->":
-        raise ParseError(line, "expected: trans <src> <sym> <guard> -> <dst> S|R <deltas>")
-    src, sym, guard, _arrow, dst, move = tokens[:6]
-    rest = tokens[6:]
-    if len(sym) != 1:
-        raise ParseError(line, f"symbol {sym!r} must be a single character")
-    if move not in (STAY, RIGHT):
-        raise ParseError(line, f"move must be S or R, got {move!r}")
+def _parse_tail(rest, k, line):
+    """(deltas, output) from the tokens after the move."""
     if k == 0:
         if not rest or rest[0] != "-":
             raise ParseError(line, "expected '-' as the delta list with zero counters")
@@ -81,23 +70,25 @@ def _parse_trans(tokens, k, line):
         if len(word) < 2 or word[0] != '"' or word[-1] != '"':
             raise ParseError(line, "output word must be double-quoted")
         output = word[1:-1]
-    guards = _expand_guard(guard, k, line)
-    return [Transition(src, sym, g, dst, move, deltas, output) for g in guards]
+    return deltas, output
 
 
 def parse_machine(text: str):
-    """Parse the text format; returns a CounterMachine or CounterTransducer."""
+    """Parse the text format; returns a CounterMachine or CounterTransducer.
+    Exact repeats of a transition are dropped before determinism is decided."""
     fields = {}
-    trans_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("#"):
+    lines = text.splitlines()
+    trans_lines = []    # line numbers; the lines are split in the second pass
+    for lineno, raw in enumerate(lines, start=1):
+        if raw.startswith("trans") and raw[5:6].isspace():
+            trans_lines.append(lineno)
             continue
-        tokens = raw.split()
+        tokens = [] if raw.startswith("#") else raw.split()
         if not tokens:
             continue
         head = tokens[0]
         if head == "trans":
-            trans_lines.append((lineno, tokens[1:]))
+            trans_lines.append(lineno)
         elif head in _HEADERS:
             if head in fields:
                 raise ParseError(lineno, f"duplicate {head} line")
@@ -154,19 +145,38 @@ def parse_machine(text: str):
     if len(vals) != 1:
         raise ParseError(ln, "initial line needs exactly one name")
     initial = vals[0]
-    _ln, vals = need("final")
-    finals = frozenset(vals)
+    finals = frozenset(need("final")[1])
 
     transitions = []
-    for lineno, tokens in trans_lines:
-        for t in _parse_trans(tokens, k, lineno):
-            if t.src not in states:
-                raise ParseError(lineno, f"unknown state {t.src!r}")
-            if t.dst not in states:
-                raise ParseError(lineno, f"unknown state {t.dst!r}")
+    first = {}     # (src, symbol, guard) -> its first transition
+    shared = {}    # a key of more than one line -> its distinct transitions
+    guards, tails = {}, {}
+    for lineno in trans_lines:
+        # trans, src, sym, guard, ->, dst, move and the rest of the line
+        tokens = lines[lineno - 1].split(None, 7)
+        if len(tokens) < 7 or tokens[4] != "->":
+            raise ParseError(lineno, "expected: trans <src> <sym> <guard> -> <dst> S|R <deltas>")
+        rest = tokens.pop() if len(tokens) == 8 else ""
+        _, src, sym, guard, _, dst, move = tokens
+        if len(sym) != 1:
+            raise ParseError(lineno, f"symbol {sym!r} must be a single character")
+        if move != STAY and move != RIGHT:
+            raise ParseError(lineno, f"move must be S or R, got {move!r}")
+        deltas, output = tails.get(rest) or tails.setdefault(
+            rest, _parse_tail(rest.split(), k, lineno))
+        expanded = guards.get(guard) or guards.setdefault(guard, _expand_guard(guard, k, lineno))
+        if src not in states or dst not in states:
+            raise ParseError(lineno, f"unknown state {dst if src in states else src!r}")
+        for g in expanded:
+            t = Transition(src, sym, g, dst, move, deltas, output)
+            have = first.setdefault((src, sym, g), t)
+            if have is not t:
+                same = shared.setdefault((src, sym, g), {have})
+                if t in same:
+                    continue
+                same.add(t)
             transitions.append(t)
-    keys = [t.key() for t in transitions]
-    keys_unique = len(keys) == len(set(keys))
+    keys_unique = all(len(same) == 1 for same in shared.values())
     if kind == "dcm" and not keys_unique:
         raise ParseError(0, "kind dcm but transitions are nondeterministic")
     deterministic = keys_unique if kind == "transducer" else kind == "dcm"
@@ -190,12 +200,9 @@ def parse_machine(text: str):
 
 def _state_names(m: CounterMachine):
     """Stable printable names; composite states get sequential names."""
-    plain = all(isinstance(q, str) and q and not any(c.isspace() for c in q)
-                for q in m.states)
-    order = sorted(m.states, key=repr)
-    if plain:
-        return {q: q for q in order}
-    return {q: f"s{i}" for i, q in enumerate(order)}
+    if all(isinstance(q, str) and q.split() == [q] for q in m.states):
+        return {q: q for q in m.states}
+    return {q: f"s{i}" for i, q in enumerate(sorted(m.states, key=repr))}
 
 
 def serialize_machine(obj) -> str:
@@ -218,16 +225,16 @@ def serialize_machine(obj) -> str:
     lines.append("states " + " ".join(sorted(names.values())))
     lines.append(f"initial {names[m.initial]}")
     lines.append(("final " + " ".join(sorted(names[f] for f in m.finals))).rstrip())
-    body = []
+    k = m.k
+    spelled = {}    # deltas -> their text
+    no_output = ' output ""' if out_alphabet is not None else ""
+    body = set()
     for t in m.transitions:
-        guard = t.guard if m.k else "-"
-        deltas = " ".join(str(d) for d in t.deltas) if m.k else "-"
-        line = (f"trans {names[t.src]} {t.symbol} {guard} -> "
-                f"{names[t.dst]} {t.move} {deltas}")
-        if t.output:
-            line += f' output "{t.output}"'
-        elif out_alphabet is not None:
-            line += ' output ""'
-        body.append(line)
-    lines.extend(sorted(set(body)))
+        deltas = spelled.get(t.deltas)
+        if deltas is None:
+            deltas = spelled[t.deltas] = " ".join(map(str, t.deltas)) if k else "-"
+        body.add(f"trans {names[t.src]} {t.symbol} {t.guard if k else '-'} -> "
+                 f"{names[t.dst]} {t.move} {deltas}"
+                 + (f' output "{t.output}"' if t.output else no_output))
+    lines.extend(sorted(body))
     return "\n".join(lines) + "\n"

@@ -11,8 +11,10 @@ take any counter through more than `l` direction reversals are cut off.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
@@ -30,7 +32,7 @@ DIR_UP = "u"
 DIR_DOWN = "d"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     src: object
     symbol: str          # letter or EOT
@@ -167,34 +169,47 @@ def validate_machine(m: CounterMachine) -> list:
         if a in seen_syms:
             errs.append(f"duplicate alphabet symbol {a!r}")
         seen_syms.add(a)
-    keys = {}
+    states = m.states
+    shapes = {}     # (symbol, guard, deltas, move) -> its violations
     for t in m.transitions:
-        where = f"transition {t.src!r} --{t.symbol}/{t.guard}-->"
-        if t.src not in m.states:
-            errs.append(f"{where} source not in state set")
-        if t.dst not in m.states:
-            errs.append(f"{where} target not in state set")
-        if t.symbol != EOT and t.symbol not in m.alphabet:
-            errs.append(f"{where} symbol not in alphabet")
-        if t.symbol == EOT and not m.marked:
-            errs.append(f"{where} end-of-tape transition on an unmarked machine")
-        if t.symbol == EOT and t.move != STAY:
-            errs.append(f"{where} end-of-tape transitions must stay in place")
-        if len(t.guard) != m.k or any(g not in (ZERO, POS) for g in t.guard):
-            errs.append(f"{where} malformed guard")
-        if len(t.deltas) != m.k or any(d not in (-1, 0, 1) for d in t.deltas):
-            errs.append(f"{where} malformed counter deltas")
-        if t.move not in (STAY, RIGHT):
-            errs.append(f"{where} malformed move")
-        for g, d in zip(t.guard, t.deltas):
-            if g == ZERO and d < 0:
-                errs.append(f"{where} decrements a counter guarded zero")
-        keys.setdefault(t.key(), 0)
-        keys[t.key()] += 1
+        shape = (t.symbol, t.guard, t.deltas, t.move)
+        bad = shapes.get(shape)
+        if bad is None:
+            bad = shapes[shape] = _shape_violations(m, *shape)
+        if bad or t.src not in states or t.dst not in states:
+            where = f"transition {t.src!r} --{t.symbol}/{t.guard}-->"
+            if t.src not in states:
+                errs.append(f"{where} source not in state set")
+            if t.dst not in states:
+                errs.append(f"{where} target not in state set")
+            errs += [f"{where} {e}" for e in bad]
     if m.deterministic:
+        keys = Counter((t.src, t.symbol, t.guard) for t in m.transitions)
         for key, n in keys.items():
             if n > 1:
                 errs.append(f"{n} transitions share key {key!r} on a deterministic machine")
+    return errs
+
+
+def _shape_violations(m, symbol, guard, deltas, move):
+    """What is wrong with a transition reading `symbol` under `guard`,
+    whatever its source and target."""
+    errs = []
+    if symbol != EOT and symbol not in m.alphabet:
+        errs.append("symbol not in alphabet")
+    if symbol == EOT and not m.marked:
+        errs.append("end-of-tape transition on an unmarked machine")
+    if symbol == EOT and move != STAY:
+        errs.append("end-of-tape transitions must stay in place")
+    if len(guard) != m.k or any(g not in (ZERO, POS) for g in guard):
+        errs.append("malformed guard")
+    if len(deltas) != m.k or any(d not in (-1, 0, 1) for d in deltas):
+        errs.append("malformed counter deltas")
+    if move not in (STAY, RIGHT):
+        errs.append("malformed move")
+    for g, d in zip(guard, deltas):
+        if g == ZERO and d < 0:
+            errs.append("decrements a counter guarded zero")
     return errs
 
 
@@ -355,6 +370,7 @@ def enforce_reversal_control(m: CounterMachine) -> CounterMachine:
     )
 
 
+@functools.cache
 def all_guards(k: int) -> tuple:
     return tuple("".join(g) for g in itertools.product(ZERO + POS, repeat=k))
 

@@ -20,6 +20,14 @@ compares every component with every other: the reference for
 `decide.rational_feasible`; `stay_cycles_terminate` enumerates the simple
 stay cycles and decides their cone with it, the reference for
 `constructions.stay_runs_terminate`.
+
+`plain_parse` and `plain_serialize` are the machine file format read and
+written the straightforward way: every line split in full, every guard
+expanded and every delta list parsed again, determinism decided over a
+separate key list.  `plain_parse` imports nothing from `rbcm`: it returns
+a `PlainMachine`, or `(line, message)` for a malformed file.  It drops
+exact repeats of a transition before deciding determinism, as
+`fileformat.parse_machine` does.  They are the reference for `fileformat`.
 """
 
 from __future__ import annotations
@@ -381,3 +389,200 @@ def stay_cycles_terminate(m):
         if fm_feasible(ineqs, len(effects)):
             return False
     return True
+
+
+PlainTrans = namedtuple("PlainTrans", "src symbol guard dst move deltas output")
+PlainMachine = namedtuple(
+    "PlainMachine",
+    "name k l states alphabet initial finals transitions marked deterministic out_alphabet")
+
+
+class _Malformed(Exception):
+    pass
+
+
+def _plain_guards(guard, k, line):
+    if k == 0:
+        if guard != "-":
+            raise _Malformed(line, f"guard must be '-' with zero counters, got {guard!r}")
+        return [""]
+    if len(guard) != k:
+        raise _Malformed(line, f"guard {guard!r} needs {k} characters")
+    choices = []
+    for ch in guard:
+        if ch in "zp":
+            choices.append((ch,))
+        elif ch == "*":
+            choices.append(("z", "p"))
+        else:
+            raise _Malformed(line, f"bad guard character {ch!r}")
+    return ["".join(c) for c in itertools.product(*choices)]
+
+
+def _plain_trans(tokens, k, line):
+    if len(tokens) < 6 or tokens[3] != "->":
+        raise _Malformed(line, "expected: trans <src> <sym> <guard> -> <dst> S|R <deltas>")
+    src, sym, guard, _arrow, dst, move = tokens[:6]
+    rest = tokens[6:]
+    if len(sym) != 1:
+        raise _Malformed(line, f"symbol {sym!r} must be a single character")
+    if move not in ("S", "R"):
+        raise _Malformed(line, f"move must be S or R, got {move!r}")
+    if k == 0:
+        if not rest or rest[0] != "-":
+            raise _Malformed(line, "expected '-' as the delta list with zero counters")
+        deltas = ()
+        rest = rest[1:]
+    else:
+        if len(rest) < k:
+            raise _Malformed(line, f"expected {k} counter deltas")
+        try:
+            deltas = tuple(int(x) for x in rest[:k])
+        except ValueError:
+            raise _Malformed(line, f"bad counter delta in {rest[:k]!r}") from None
+        rest = rest[k:]
+    output = ""
+    if rest:
+        if len(rest) != 2 or rest[0] != "output":
+            raise _Malformed(line, f"unexpected trailing tokens {rest!r}")
+        word = rest[1]
+        if len(word) < 2 or word[0] != '"' or word[-1] != '"':
+            raise _Malformed(line, "output word must be double-quoted")
+        output = word[1:-1]
+    return [PlainTrans(src, sym, g, dst, move, deltas, output)
+            for g in _plain_guards(guard, k, line)]
+
+
+def _plain_int(vals):
+    try:
+        return int(vals[0]) if len(vals) == 1 else None
+    except ValueError:
+        return None
+
+
+def plain_parse(text):
+    """A PlainMachine, or (line, message) for a malformed file."""
+    try:
+        return _plain_parse(text)
+    except _Malformed as exc:
+        return exc.args
+
+
+def _plain_parse(text):
+    headers = ("machine", "kind", "acceptance", "counters", "reversals",
+               "alphabet", "outalphabet", "states", "initial", "final")
+    fields = {}
+    trans_lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = [] if raw.startswith("#") else raw.split()
+        if not tokens:
+            continue
+        if tokens[0] == "trans":
+            trans_lines.append((lineno, tokens[1:]))
+        elif tokens[0] in headers:
+            if tokens[0] in fields:
+                raise _Malformed(lineno, f"duplicate {tokens[0]} line")
+            fields[tokens[0]] = (lineno, tokens[1:])
+        else:
+            raise _Malformed(lineno, f"unknown directive {tokens[0]!r}")
+
+    def need(name):
+        if name not in fields:
+            raise _Malformed(0, f"missing {name} line")
+        return fields[name]
+
+    ln, vals = need("machine")
+    if len(vals) != 1:
+        raise _Malformed(ln, "machine line needs exactly one name")
+    name = vals[0]
+    ln, vals = fields.get("kind", (0, ["ncm"]))
+    if vals not in (["dcm"], ["ncm"], ["transducer"]):
+        raise _Malformed(ln, f"kind must be dcm, ncm or transducer, got {vals!r}")
+    kind = vals[0]
+    ln, vals = need("acceptance")
+    if vals not in (["marked"], ["unmarked"]):
+        raise _Malformed(ln, "acceptance must be marked or unmarked")
+    ln, vals = need("counters")
+    k = _plain_int(vals)
+    if k is None or k < 0:
+        raise _Malformed(ln, "counters needs one non-negative integer")
+    ln, vals = need("reversals")
+    l = None if vals == ["inf"] else _plain_int(vals)
+    if vals != ["inf"] and (l is None or l < 0):
+        raise _Malformed(ln, "reversals needs one non-negative integer or inf")
+    ln, alphabet = need("alphabet")
+    for sym in alphabet:
+        if len(sym) != 1:
+            raise _Malformed(ln, f"alphabet symbol {sym!r} must be a single character")
+        if sym == "$":
+            raise _Malformed(ln, "the end-of-tape marker cannot be an input symbol")
+    ln, states = need("states")
+    if not states:
+        raise _Malformed(ln, "states line needs at least one name")
+    ln, vals = need("initial")
+    if len(vals) != 1:
+        raise _Malformed(ln, "initial line needs exactly one name")
+    initial = vals[0]
+    finals = need("final")[1]
+    transitions = []
+    for lineno, tokens in trans_lines:
+        for t in _plain_trans(tokens, k, lineno):
+            for q in (t.src, t.dst):
+                if q not in states:
+                    raise _Malformed(lineno, f"unknown state {q!r}")
+            transitions.append(t)
+    transitions = list(dict.fromkeys(transitions))
+    keys = [(t.src, t.symbol, t.guard) for t in transitions]
+    keys_unique = len(keys) == len(set(keys))
+    if kind == "dcm" and not keys_unique:
+        raise _Malformed(0, "kind dcm but transitions are nondeterministic")
+    out_alphabet = None
+    if kind == "transducer":
+        if "outalphabet" not in fields:
+            raise _Malformed(0, "transducers need an outalphabet line")
+        ln, out_alphabet = fields["outalphabet"]
+        for sym in out_alphabet:
+            if len(sym) != 1:
+                raise _Malformed(ln, f"output symbol {sym!r} must be a single character")
+        out_alphabet = tuple(out_alphabet)
+    elif "outalphabet" in fields:
+        raise _Malformed(fields["outalphabet"][0], "outalphabet is only allowed for transducers")
+    return PlainMachine(
+        name, k, l, frozenset(states), tuple(alphabet), initial, frozenset(finals),
+        tuple(transitions), fields["acceptance"][1] == ["marked"],
+        keys_unique if kind == "transducer" else kind == "dcm", out_alphabet)
+
+
+def plain_serialize(m, out_alphabet=None):
+    """Canonical text of any object with a machine's fields (a PlainMachine
+    or an `rbcm` CounterMachine); `out_alphabet` makes it a transducer."""
+    plain = all(isinstance(q, str) and q and not any(c.isspace() for c in q)
+                for q in m.states)
+    order = sorted(m.states, key=repr)
+    names = {q: q if plain else f"s{i}" for i, q in enumerate(order)}
+    ok_name = m.name and not any(c.isspace() for c in m.name)
+    lines = [
+        f"machine {m.name if ok_name else 'machine'}",
+        f"kind {'transducer' if out_alphabet is not None else ('dcm' if m.deterministic else 'ncm')}",
+        f"acceptance {'marked' if m.marked else 'unmarked'}",
+        f"counters {m.k}",
+        f"reversals {'inf' if m.l is None else m.l}",
+        "alphabet " + " ".join(m.alphabet),
+    ]
+    if out_alphabet is not None:
+        lines.append("outalphabet " + " ".join(out_alphabet))
+    lines.append("states " + " ".join(sorted(names.values())))
+    lines.append(f"initial {names[m.initial]}")
+    lines.append(("final " + " ".join(sorted(names[f] for f in m.finals))).rstrip())
+    body = []
+    for t in m.transitions:
+        guard = t.guard if m.k else "-"
+        deltas = " ".join(str(d) for d in t.deltas) if m.k else "-"
+        line = f"trans {names[t.src]} {t.symbol} {guard} -> {names[t.dst]} {t.move} {deltas}"
+        if t.output:
+            line += f' output "{t.output}"'
+        elif out_alphabet is not None:
+            line += ' output ""'
+        body.append(line)
+    lines.extend(sorted(set(body)))
+    return "\n".join(lines) + "\n"

@@ -138,6 +138,43 @@ def test_internal_error_is_not_a_false_verdict(mab, monkeypatch, capsys, exc):
     assert f"internal error: {type(exc).__name__}: {exc}" in capsys.readouterr().err
 
 
+INVALID = """\
+machine bad
+kind dcm
+acceptance unmarked
+counters 1
+reversals 1
+alphabet a
+states q f
+initial q
+final f
+trans q a z -> f R -1
+trans f a p -> f R 0
+trans q b z -> f R 0
+"""
+
+
+def test_verdicts_refuse_invalid_machines(tmp_path, capsys):
+    # the file parses, but its first move takes the counter to -1
+    bad = tmp_path / "bad.mach"
+    bad.write_text(INVALID)
+    f, out = str(bad), str(tmp_path / "out.mach")
+    first = "transition 'q' --a/z--> decrements a counter guarded zero"
+    for argv in (["run", f, "--word", "a"], ["member", f, "--word", "a"],
+                 ["empty", f, "--witness"], ["infinite", f], ["enum", f, "--max-len", "2"],
+                 ["parikh", f], ["compare", f, f, "--mode", "equal"],
+                 ["op", "complement", f, "-o", out]):
+        assert run_cli(argv) == 4, argv
+        assert first in capsys.readouterr().err, argv
+    shuffle = tmp_path / "shuffle.mach"
+    shuffle.write_text(corpus_text("T_shuffle").replace('output "a"', 'output "q"'))
+    assert run_cli(["op", "forward_image_ncm", str(shuffle), "-o", out]) == 4
+    assert "foreign symbol 'q'" in capsys.readouterr().err
+    assert run_cli(["validate", f, "--json"]) == 1
+    errors = json.loads(capsys.readouterr().out)["details"]["errors"]
+    assert errors == [first, "transition 'q' --b/z--> symbol not in alphabet"]
+
+
 def test_usage_errors(mab):
     assert run_cli([]) == 2
     assert run_cli(["member", mab]) == 2
