@@ -16,13 +16,14 @@ from .errors import (
 )
 from .machine import (
     EOT, POS, RIGHT, STAY, ZERO,
-    CounterMachine, Transition, _index, all_guards, build_machine,
+    CounterMachine, Transition, _edges_on_cycles, _index, all_guards, build_machine,
     combine_budgets, enforce_reversal_control, no_stay_into_final,
     run_deterministic, stay_acyclic_check, totalize_dead_state,
 )
 from . import decide
 from .regular import (
-    Dfa, full_dfa, machine_from_dfa, prefix_free_check_dfa, validate_dfa,
+    Dfa, align_unary_family, full_dfa, machine_from_dfa, prefix_free_check_dfa,
+    validate_dfa,
 )
 
 
@@ -171,36 +172,6 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
 # stay-run termination and boolean operations
 
 
-def _edges_on_cycles(edges):
-    """The (u, v, ...) edges whose ends share a strongly connected
-    component, i.e. that lie on a cycle (Tarjan's algorithm, iterative)."""
-    adj = {}
-    for e in edges:
-        adj.setdefault(e[0], []).append(e[1])
-    index, low, comp, stack = {}, {}, {}, []
-    for root in adj:
-        work = [] if root in index else [(root, None)]
-        while work:
-            v, succ = work.pop()
-            if succ is None:               # first visit
-                index[v] = low[v] = len(index)
-                stack.append(v)
-                succ = iter(adj.get(v, ()))
-            for w in succ:
-                if w not in index:
-                    work += [(v, succ), (w, None)]
-                    break
-                if w not in comp:          # w is on the stack
-                    low[v] = min(low[v], index[w])
-            else:
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == index[v]:
-                    while v not in comp:
-                        comp[stack.pop()] = v
-    return [e for e in edges if comp[e[0]] == comp[e[1]]]
-
-
 def stay_runs_terminate(m: CounterMachine) -> bool:
     """Conservative check that no stay run (per symbol or at the end of
     input) can go on forever.
@@ -315,7 +286,6 @@ def strip_end_marker_one_counter(m: CounterMachine, return_info: bool = False):
     so acceptance is a pure state property and end-of-input processing
     disappears.
     """
-    from .regular import align_unary_family
     if not m.deterministic:
         raise PreconditionViolated("end-marker elimination needs determinism")
     if m.k != 1:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -20,8 +22,9 @@ from .errors import InfiniteBudget, PreconditionViolated
 from .machine import (
     DIR_DOWN, DIR_NONE, DIR_UP, EOT, POS, RIGHT, STAY, ZERO,
     CounterMachine, Transition, _index, _reachable, _step_budgets,
-    fresh_budgets, run_deterministic,
+    enforce_reversal_control, fresh_budgets, run_deterministic,
 )
+from .regular import UnaryDFA, periodic_to_unary, word_dfa
 
 # ---------------------------------------------------------------------------
 # semilinear sets
@@ -144,65 +147,6 @@ def rational_feasible(eqs, ges, n):
             for j in range(n)]
 
 
-def _propagate(eqs, ges, lo, hi):
-    """Interval propagation; returns tightened (lo, hi) or None if empty."""
-    lo, hi = list(lo), list(hi)
-    n = len(lo)
-    for _ in range(120):
-        changed = False
-        for coeffs, rhs, is_eq in [(c, r, True) for c, r in eqs] + \
-                                  [(c, r, False) for c, r in ges]:
-            views = [(coeffs, rhs)]
-            if is_eq:
-                views.append((tuple(-c for c in coeffs), -rhs))
-            for cs, r in views:  # each view: sum cs * x >= r
-                maxima = []
-                for j in range(n):
-                    c = cs[j]
-                    if c > 0:
-                        maxima.append(c * hi[j])
-                    elif c < 0:
-                        maxima.append(c * lo[j])
-                    else:
-                        maxima.append(0)
-                total_max = sum(maxima)
-                if total_max < r:
-                    return None
-                for j in range(n):
-                    c = cs[j]
-                    if c == 0:
-                        continue
-                    rest = total_max - maxima[j]
-                    # c * x_j >= r - rest
-                    if c > 0:
-                        need = -(-(r - rest) // c)  # ceil
-                        if need > lo[j]:
-                            lo[j] = need
-                            changed = True
-                    else:
-                        allow = (r - rest) // c  # floor after sign flip
-                        if allow < hi[j]:
-                            hi[j] = allow
-                            changed = True
-                    if lo[j] > hi[j]:
-                        return None
-            if is_eq:
-                # divisibility over still-free variables
-                fixed = sum(c * lo[j] for j, c in enumerate(coeffs) if lo[j] == hi[j])
-                free = [c for j, c in enumerate(coeffs) if lo[j] != hi[j]]
-                if free:
-                    g = 0
-                    for c in free:
-                        g = gcd(g, c)
-                    if g and (rhs - fixed) % g != 0:
-                        return None
-                elif fixed != rhs:
-                    return None
-        if not changed:
-            break
-    return lo, hi
-
-
 def _multiplier_rows(c: LinearSet, constraints):
     """c's sorted periods, and the constraints as (row, rhs) rows over
     their multipliers n: eqs for row . n == rhs, ges for row . n >= rhs."""
@@ -223,56 +167,109 @@ def _multiplier_rows(c: LinearSet, constraints):
     return periods, eqs, ges
 
 
+def _lattice(eqs, n):
+    """The integer solutions of row . x == rhs, every (row, rhs) in eqs,
+    as (x0, kernel) with x = x0 + sum_j t_j * kernel[j] for integer t, or
+    None.  x = U y with U unimodular: Euclid by column operations on U,
+    each column kept with its entries in the rows (A U), leaves each row
+    one free coefficient, which fixes one y; the other columns span the
+    kernel."""
+    cols = [[int(i == j) for i in range(n)] + [row[j] for row, _ in eqs] for j in range(n)]
+    fixed = []
+    for k, (_, rhs) in enumerate(eqs, n):  # cols[j][k]: the row's entry in column j
+        p = len(fixed)
+        while True:
+            nz = [j for j in range(p, n) if cols[j][k]]
+            if len(nz) < 2:
+                break
+            j = min(nz, key=lambda j: abs(cols[j][k]))
+            for i in nz:
+                q = cols[i][k] // cols[j][k] if i != j else 0
+                if q:
+                    cols[i] = [a - q * b for a, b in zip(cols[i], cols[j])]
+        rest = rhs - sum(col[k] * y for col, y in zip(cols, fixed))
+        if not nz:
+            if rest:
+                return None
+            continue                       # a combination of earlier rows
+        j = nz[0]
+        if rest % cols[j][k]:
+            return None
+        fixed.append(rest // cols[j][k])
+        cols[p], cols[j] = cols[j], cols[p]
+    x0 = [sum(y * col[i] for y, col in zip(fixed, cols)) for i in range(n)]
+    return x0, [col[:n] for col in cols[len(fixed):]]
+
+
+def _integer_point(eqs, ges, n):
+    """A list of n integers x >= 0 with row . x == rhs for every (row, rhs)
+    in eqs and row . x >= rhs for every one in ges, or None.
+
+    Branch-and-bound over a range [lo, hi] per coordinate.  A node's
+    lattice x0 + K t also fixes the coordinates with lo == hi.  Its LP runs
+    over x with the equality rows, each >= rhs raised to the next value
+    its row takes on the lattice: the gcd rounding of the row over
+    t = u - v, without doubling the variables.  Before a node branches, a
+    coordinate its LP point leaves at lo is fixed there if no rational
+    point has it one higher."""
+    x = rational_feasible(eqs, ges, n)    # most systems settle here
+    if x is None or all(v.denominator == 1 for v in x):
+        return None if x is None else [int(v) for v in x]
+    m = len(eqs) + len(ges)
+    a = max([1] + [abs(v) for row, r in itertools.chain(eqs, ges) for v in (*row, r)])
+    # Papadimitriou (JACM 1981): an integer solution, if any, has one with
+    # entries at most this (m rows, entries at most a, a slack per >= row)
+    box = (n + len(ges)) * (m * a) ** (2 * m + 1)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    queue = deque([((0,) * n, (None,) * n)])   # per x_i: least, greatest value
+    while queue:
+        lo, hi = queue.popleft()
+        free = [i for i in range(n) if lo[i] != hi[i]]
+        node_eqs = eqs + [(unit[i], lo[i]) for i in range(n) if lo[i] == hi[i]]
+        lattice = _lattice(node_eqs, n)
+        if lattice is None:
+            continue
+        x0, kernel = lattice
+
+        def rounded(row, rhs):
+            g = gcd(*(sum(map(operator.mul, row, col)) for col in kernel))
+            return row, (rhs + (sum(map(operator.mul, row, x0)) - rhs) % g if g else rhs)
+
+        rows = [rounded(r, b) for r, b in ges]
+        rows += [r for r in (rounded(unit[i], lo[i]) for i in free) if r[1] > 0]  # x >= 0 is the LP's
+        rows += [rounded(tuple(-v for v in unit[i]), -hi[i]) for i in free if hi[i] is not None]
+        x = rational_feasible(node_eqs, rows, n)
+        if x is None:
+            continue
+        i = next((i for i, v in enumerate(x) if v.denominator != 1), None)
+        if i is None:
+            return [int(v) for v in x]
+        pinned = {j for j in free if x[j] == lo[j] and rational_feasible(
+            node_eqs, rows + [rounded(unit[j], lo[j] + 1)], n) is None}
+        if pinned:
+            queue.appendleft((lo, tuple(lo[j] if j in pinned else hi[j] for j in range(n))))
+            continue
+        f = x[i].numerator // x[i].denominator
+        queue.append((lo, hi[:i] + (min(f, box),) + hi[i + 1:]))
+        if f < box:
+            queue.append((lo[:i] + (f + 1,) + lo[i + 1:], hi))
+    return None
+
+
 def linear_feasible(c: LinearSet, constraints):
     """Find non-negative integer multipliers of c's periods meeting the
     constraints, or None.
 
     Constraints are (coeffs, op, rhs) triples over the vector space, with
-    op one of '==', '>=', '<='.  Rational infeasibility and divisibility
-    obstructions are detected exactly; otherwise an integer search runs
-    inside a fixed multiplier window (documented bound), so the answer is
-    exact whenever a solution exists within that window.
+    op one of '==', '>=', '<='.  Exact: the equality rows are solved over
+    the integers (x = x0 + K t), then branch-and-bound on the lattice calls
+    `rational_feasible` breadth-first.  Every branch bound is clipped to
+    Papadimitriou's box, which holds a solution if any exists, so each
+    branch shrinks an integer range and the search is finite.
     """
     periods, eqs, ges = _multiplier_rows(c, constraints)
-    n = len(periods)
-    if not eqs and all(r <= 0 for _, r in ges):
-        return {p: 0 for p in periods}
-    if rational_feasible(eqs, ges, n) is None:
-        return None
-
-    # multiplier window; systems arising from small machines have tiny
-    # minimal solutions, so this bound is generous in practice
-    cap = 4096
-    lo, hi = [0] * n, [cap] * n
-
-    def dfs(lo, hi):
-        tightened = _propagate(eqs, ges, lo, hi)
-        if tightened is None:
-            return None
-        lo, hi = tightened
-        free = [j for j in range(n) if lo[j] != hi[j]]
-        if not free:
-            assign = lo
-            for row, r in eqs:
-                if sum(cf * v for cf, v in zip(row, assign)) != r:
-                    return None
-            for row, r in ges:
-                if sum(cf * v for cf, v in zip(row, assign)) < r:
-                    return None
-            return assign
-        j = min(free, key=lambda j: hi[j] - lo[j])
-        for v in range(lo[j], hi[j] + 1):
-            nlo, nhi = list(lo), list(hi)
-            nlo[j] = nhi[j] = v
-            got = dfs(nlo, nhi)
-            if got is not None:
-                return got
-        return None
-
-    sol = dfs(lo, hi)
-    if sol is None:
-        return None
-    return dict(zip(periods, sol))
+    sol = _integer_point(eqs, ges, len(periods))
+    return None if sol is None else dict(zip(periods, sol))
 
 
 def realize(c: LinearSet, multipliers) -> tuple:
@@ -364,7 +361,6 @@ def annotate_budgets(m: CounterMachine) -> CounterMachine:
     if m.l is None:
         raise InfiniteBudget("cannot make an unbounded budget explicit")
     plain = replace(m, budget_explicit=False)
-    from .machine import enforce_reversal_control
     return enforce_reversal_control(plain)
 
 
@@ -766,7 +762,6 @@ def _nonempty_feasible(m: CounterMachine):
 
 def _member_pipeline(m: CounterMachine, word: str) -> bool:
     from .constructions import intersect_regular
-    from .regular import word_dfa
     prod = intersect_regular(m, word_dfa(word, m.alphabet))
     feasible, _ = _nonempty_feasible(prod)
     return feasible
@@ -971,9 +966,7 @@ def compare(m1: CounterMachine, m2: CounterMachine, mode: str):
         raise ValueError(f"unknown compare mode {mode!r}")
 
     def one_way(a, b):
-        prod = product_intersection(a, boolean_dcm(b, None, "not"))
-        empty, wit = is_empty(prod)
-        return empty, wit
+        return is_empty(product_intersection(a, boolean_dcm(b, None, "not")))
 
     ok, wit = one_way(m1, m2)
     if not ok:
@@ -1076,11 +1069,10 @@ def _positive_walk_period(m, q):
     return -d if d < 0 else 1
 
 
-def end_marker_behavior(m: CounterMachine, q) -> "UnaryDFA":
+def end_marker_behavior(m: CounterMachine, q) -> UnaryDFA:
     """Unary tail/loop description of { i : the end-of-tape run from
     state q with counter value i accepts }.  Needs k = 1 and an explicit
     budget."""
-    from .regular import periodic_to_unary
     if m.k != 1:
         raise PreconditionViolated("end_marker_behavior needs exactly one counter")
     if not m.budget_explicit:

@@ -457,40 +457,42 @@ def _guard_after(guard_char, delta):
     return [POS]
 
 
+def _edges_on_cycles(edges):
+    """The (u, v, ...) edges whose ends share a strongly connected
+    component, i.e. that lie on a cycle (Tarjan's algorithm, iterative)."""
+    adj = {}
+    for e in edges:
+        adj.setdefault(e[0], []).append(e[1])
+    index, low, comp, stack = {}, {}, {}, []
+    for root in adj:
+        work = [] if root in index else [(root, None)]
+        while work:
+            v, succ = work.pop()
+            if succ is None:               # first visit
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                succ = iter(adj.get(v, ()))
+            for w in succ:
+                if w not in index:
+                    work += [(v, succ), (w, None)]
+                    break
+                if w not in comp:          # w is on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    while v not in comp:
+                        comp[stack.pop()] = v
+    return [e for e in edges if comp[e[0]] == comp[e[1]]]
+
+
 def stay_acyclic_check(m: CounterMachine) -> bool:
     """True if the stay graph over (state, guard) nodes has no cycle.
 
     Conservative: True implies every stay run terminates.  End-of-tape
     stays are included.
     """
-    adj = {}
-    for t in m.transitions:
-        if t.move != STAY:
-            continue
-        src = (t.src, t.guard)
-        for g in itertools.product(*(_guard_after(gc, d)
-                                     for gc, d in zip(t.guard, t.deltas))):
-            adj.setdefault(src, set()).add((t.dst, "".join(g)))
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {}
-    for root in list(adj):
-        if color.get(root, WHITE) != WHITE:
-            continue
-        stack = [(root, iter(adj.get(root, ())))]
-        color[root] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, WHITE)
-                if c == GREY:
-                    return False
-                if c == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(adj.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return True
+    return not _edges_on_cycles([
+        ((t.src, t.guard), (t.dst, "".join(g))) for t in m.transitions if t.move == STAY
+        for g in itertools.product(*map(_guard_after, t.guard, t.deltas))])

@@ -21,6 +21,10 @@ compares every component with every other: the reference for
 stay cycles and decides their cone with it, the reference for
 `constructions.stay_runs_terminate`.
 
+`window_feasible` is interval propagation and a depth-first search over
+the integer window [0, cap]^n, exact inside the window and importing
+nothing from `rbcm`: the reference for `decide.linear_feasible`.
+
 `plain_parse` and `plain_serialize` are the machine file format read and
 written the straightforward way: every line split in full, every guard
 expanded and every delta list parsed again, determinism decided over a
@@ -340,6 +344,66 @@ def fm_feasible(ineqs, nvars, eqs=()):
         rest = [r for r in rows if r[j] == 0]
         rows = list(dict.fromkeys(rest + [_combine(p, n, j) for p in pos for n in neg]))
     return all(r[-1] <= 0 for r in rows)
+
+
+def _window_propagate(eqs, ges, lo, hi):
+    """Interval propagation; returns tightened (lo, hi) or None if empty."""
+    lo, hi = list(lo), list(hi)
+    views = [(c, r) for c, r in ges]
+    for c, r in eqs:
+        views += [(c, r), (tuple(-v for v in c), -r)]
+    for _ in range(120):
+        changed = False
+        for cs, r in views:                # each view: sum cs * x >= r
+            maxima = [c * (hi[j] if c > 0 else lo[j]) for j, c in enumerate(cs)]
+            total_max = sum(maxima)
+            if total_max < r:
+                return None
+            for j, c in enumerate(cs):
+                if c > 0:                  # c * x_j >= r - rest
+                    need = -(-(r - total_max + maxima[j]) // c)
+                    if need > lo[j]:
+                        lo[j], changed = need, True
+                elif c < 0:
+                    allow = (r - total_max + maxima[j]) // c
+                    if allow < hi[j]:
+                        hi[j], changed = allow, True
+                if lo[j] > hi[j]:
+                    return None
+        for coeffs, rhs in eqs:            # divisibility over still-free variables
+            fixed = sum(c * lo[j] for j, c in enumerate(coeffs) if lo[j] == hi[j])
+            g = gcd(*(c for j, c in enumerate(coeffs) if lo[j] != hi[j]))
+            if (rhs - fixed) % g if g else rhs != fixed:
+                return None
+        if not changed:
+            break
+    return lo, hi
+
+
+def window_feasible(eqs, ges, n, cap):
+    """A list of n integers in [0, cap] with row . x == rhs for every
+    (row, rhs) in eqs and row . x >= rhs for every one in ges, or None
+    when the window holds none: interval propagation, then a depth-first
+    search over the values of the variable with the smallest range."""
+
+    def dfs(lo, hi):
+        tightened = _window_propagate(eqs, ges, lo, hi)
+        if tightened is None:
+            return None
+        lo, hi = tightened
+        free = [j for j in range(n) if lo[j] != hi[j]]
+        if not free:
+            ok = all(sum(c * v for c, v in zip(row, lo)) == r for row, r in eqs) and \
+                all(sum(c * v for c, v in zip(row, lo)) >= r for row, r in ges)
+            return lo if ok else None
+        j = min(free, key=lambda j: hi[j] - lo[j])
+        for v in range(lo[j], hi[j] + 1):
+            got = dfs(lo[:j] + [v] + lo[j + 1:], hi[:j] + [v] + hi[j + 1:])
+            if got is not None:
+                return got
+        return None
+
+    return dfs([0] * n, [cap] * n)
 
 
 def _simple_cycles(edges):

@@ -28,6 +28,7 @@ from rbcm.decide import (
     parikh_image,
     prefix_free_check_machine,
     rational_feasible,
+    realize,
     semilinear_member,
     sl_dedup,
     solve_diophantine,
@@ -49,6 +50,7 @@ from oracles import (
     min_scan_paths,
     naive_member,
     pairwise_dedup,
+    window_feasible,
     words_upto,
 )
 from randgen import lr_machine, rand_machine
@@ -255,6 +257,101 @@ def test_linear_feasible_basic():
     assert linear_feasible(c, [((1, 0), ">=", 1), ((1, 0), "<=", 0)]) is None
     sol = linear_feasible(c, [((1, -1), "==", 0), ((1, 1), ">=", 4)])
     assert sol is not None
+    # fractional LP vertices; every solution has x >= 65, resp. x >= 92
+    cons = [((6, 10), ">=", 999), ((6, 10), "<=", 1001), ((1, -1), ">=", 1)]
+    x, y = realize(c, linear_feasible(c, cons))
+    assert 3 * x + 5 * y == 500 and x > y
+    x, y = realize(c, linear_feasible(c, [((3, 4), ">=", 74), ((2, -1), ">=", 183)]))
+    assert 3 * x + 4 * y >= 74 and 2 * x - y >= 183
+    # rationally feasible along unbounded directions, with no integer point
+    c3 = linear((0, 0, 0), frozenset({(1, 0, 0), (0, 1, 0), (0, 0, 1)}))
+    for comp, cons in [
+            (c, [((3, -3), "==", 1)]),
+            (c, [((90, -90), "==", 1)]),
+            (c3, [((3, -3, 1), "==", 1), ((0, 0, 1), "==", 0)]),
+            (c3, [((1, 90, -90), "==", 1), ((1, 0, 0), "<=", 0)]),
+            (c, [((90, -90), ">=", 1), ((90, -90), "<=", 89)]),
+            # the <= row pins b = d = 0 on every rational point, which
+            # leaves 2c - 2a = 1
+            (linear((0,) * 4, [tuple(int(i == j) for j in range(4)) for i in range(4)]),
+             [((-2, -3, 2, -1), "==", 1), ((-2, 2, 2, 3), "<=", 1)])]:
+        start = time.perf_counter()
+        assert linear_feasible(comp, cons) is None, cons
+        assert time.perf_counter() - start < 0.2, cons
+
+
+def _system_rows(comp, cons):
+    """cons over comp's sorted periods: (periods, eqs, ges) with every row
+    written as row . n >= rhs or row . n == rhs."""
+    periods = sorted(comp.periods)
+    eqs, ges = [], []
+    for coeffs, op, rhs in cons:
+        row = tuple(sum(a * b for a, b in zip(coeffs, p)) for p in periods)
+        r = rhs - sum(a * b for a, b in zip(coeffs, comp.base))
+        if op == "<=":
+            row, r = tuple(-v for v in row), -r
+        (eqs if op == "==" else ges).append((row, r))
+    return periods, eqs, ges
+
+
+def _random_system(rng, shape):
+    """A linear set and constraints of one shape: as `_end_mode_constraints`
+    writes them (dims inc, dec per counter, then letters), as
+    `semilinear_member` does (a target vector), or a plain system over
+    unit periods."""
+    if shape == "generic":
+        n = rng.randint(1, 4)
+        comp = linear((0,) * n, [tuple(int(i == j) for i in range(n)) for j in range(n)])
+        cons = [(tuple(rng.randint(-3, 3) for _ in range(n)), rng.choice(("==", ">=", "<=")),
+                 rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
+        return comp, cons
+    dims = 2 * rng.randint(1, 2) + 1 if shape == "end_mode" else rng.randint(1, 3)
+    base = tuple(rng.randint(0, 3) for _ in range(dims))
+    periods = [tuple(rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(dims))
+               for _ in range(rng.randint(1, 4))]
+    comp = linear(base, periods)
+    cons = []
+    if shape == "member":
+        for d in range(dims):
+            target = rng.randint(0, 15) if d or rng.random() < 0.7 else rng.randint(100, 400)
+            cons.append((tuple(int(i == d) for i in range(dims)), "==", target))
+        return comp, cons
+    k = dims // 2
+    for i in range(k):
+        row = tuple(1 if j == i else -1 if j == k + i else 0 for j in range(dims))
+        op = rng.choice(("==", ">=", None))
+        if op:
+            cons.append((row, op, 0 if op == "==" else 1))
+    return comp, cons or [((0,) * (dims - 1) + (1,), ">=", rng.randint(0, 9))]
+
+
+def test_linear_feasible_matches_window_oracle():
+    """Seeded systems of the shapes the decision procedures build: where
+    the window search over [0, 64] finds multipliers, linear_feasible
+    finds some too, and every dict it returns meets every constraint,
+    also where the smallest multipliers lie beyond the window."""
+    rng = random.Random(77)
+    found = {True: 0, False: 0}
+    beyond = 0
+    for i in range(2400):
+        comp, cons = _random_system(rng, ("end_mode", "member", "generic")[i % 3])
+        periods, eqs, ges = _system_rows(comp, cons)
+        want = window_feasible(eqs, ges, len(periods), 64)
+        got = linear_feasible(comp, cons)
+        if want is not None:
+            assert all(sum(a * b for a, b in zip(row, want)) == r for row, r in eqs)
+            assert got is not None, (comp, cons)
+        found[got is not None] += 1
+        if got is None:
+            continue
+        assert set(got) == set(periods)
+        assert all(type(v) is int and v >= 0 for v in got.values())
+        vec = realize(comp, got)
+        for coeffs, op, rhs in cons:
+            value = sum(a * b for a, b in zip(coeffs, vec))
+            assert {"==": value == rhs, ">=": value >= rhs, "<=": value <= rhs}[op], (comp, cons)
+        beyond += want is None
+    assert found[True] > 600 and found[False] > 600 and beyond > 20, (found, beyond)
 
 
 def test_rational_feasible_matches_fourier_motzkin():
@@ -398,7 +495,8 @@ def test_sl_dedup_matches_pairwise_oracle():
 
 
 def test_l_r_is_nonempty_and_infinite_up_to_40():
-    for R in range(1, 41):
+    # from R = 46 the smallest multipliers pass 4096 (4230 at R = 46)
+    for R in [*range(1, 41), 46, 50, 56, 64, 65, 100, 200]:
         m = lr_machine(R)
         assert is_empty(m, want_witness=False) == (False, None), R
         assert is_infinite(m), R
