@@ -27,7 +27,6 @@ from .regular import Dfa, dfa_from_machine, machine_from_dfa
 from .decide import (
     LinearSet,
     compare,
-    end_marker_behavior,
     enumerate_words,
     is_empty,
     is_infinite,
@@ -46,6 +45,7 @@ from .constructions import (
     concat_ncm,
     concat_pf_dcmne_dcm,
     concat_pf_regular_dcm,
+    end_marker_behavior,
     inverse_insertion_ncm,
     inverse_prefix_dcm1,
     left_quotient_word,

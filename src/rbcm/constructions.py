@@ -10,20 +10,21 @@ composition.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .errors import (
     AlphabetMismatch, InfiniteBudget, NotPrefixFree, PreconditionViolated,
 )
 from .machine import (
     EOT, POS, RIGHT, STAY, ZERO,
-    CounterMachine, Transition, _edges_on_cycles, _index, all_guards, build_machine,
-    combine_budgets, enforce_reversal_control, no_stay_into_final,
+    CounterMachine, Transition, _edges_on_cycles, _index, all_guards, annotate_budgets,
+    build_machine, combine_budgets, enforce_reversal_control, no_stay_into_final,
     run_deterministic, stay_acyclic_check, totalize_dead_state,
 )
-from . import decide
+from .decide import prefix_free_check_machine, rational_feasible
 from .regular import (
-    Dfa, align_unary_family, full_dfa, machine_from_dfa, prefix_free_check_dfa,
-    validate_dfa,
+    Dfa, UnaryDFA, align_unary_family, full_dfa, machine_from_dfa, periodic_to_unary,
+    prefix_free_check_dfa, validate_dfa,
 )
 
 
@@ -195,7 +196,7 @@ def stay_runs_terminate(m: CounterMachine) -> bool:
         ges = [(tuple(d[i] for _, _, d in stays), 0) for i in range(m.k)]
         ges.append(((1,) * len(stays), 1))
         eqs = [(row, 0) for row in flow.values()]
-        if decide.rational_feasible(eqs, ges, len(stays)) is not None:
+        if rational_feasible(eqs, ges, len(stays)) is not None:
             return False
     return True
 
@@ -266,6 +267,97 @@ def boolean_dcm(m1: CounterMachine, m2, mode: str) -> CounterMachine:
 # end-marker elimination for one-counter machines
 
 
+def end_marker_behavior(m: CounterMachine, q) -> UnaryDFA:
+    """Unary tail/loop description of { v : the end-of-tape run from
+    state q with counter value v accepts }.  Needs k = 1 and an explicit
+    budget.
+
+    The run from (q, v) follows the positive-guard `$` walk from q, whose
+    offset after j moves is o_j, until it meets a final state (accept) or
+    the first j with o_j = -v, where the value-0 run from the walk's state
+    decides.  That walk is a lasso: if its loop lowers the offset by D > 0,
+    the outcome is periodic in v with period D once v exceeds -min o_j over
+    the first pass; otherwise it is constant there.
+    """
+    if m.k != 1:
+        raise PreconditionViolated("end_marker_behavior needs exactly one counter")
+    if not m.budget_explicit:
+        raise PreconditionViolated("end_marker_behavior needs a budget-explicit machine")
+    if q not in m.states:
+        raise PreconditionViolated(f"unknown state {q!r}")
+    idx = _index(m)
+
+    def move(s, guard):
+        ts = idx.get((s, EOT), {}).get(guard, ())
+        if len(ts) > 1:
+            raise PreconditionViolated("end-of-tape behaviour needs determinism")
+        return ts[0] if ts else None
+
+    @cache
+    def walk(s):
+        """(hits, loop, rest): the run from (s, v) first has value 0 in
+        state hits[v], for v < len(hits).  With rest None the walk's loop
+        lowers the offset by `loop`, and hits[v] is hits[v - loop] beyond;
+        otherwise every larger v ends with the verdict rest."""
+        hits, seen, offset = [], {}, 0
+        while s not in seen:
+            if s in m.finals:
+                return hits, 1, True
+            seen[s] = offset
+            if offset == -len(hits):  # moves are unit steps: a new low
+                hits.append(s)
+            t = move(s, POS)
+            if t is None:
+                return hits, 1, False
+            s, offset = t.dst, offset + t.deltas[0]
+        drift = offset - seen[s]
+        if drift >= 0:
+            return hits, 1, False
+        end = len(hits) - drift  # one more period of values, past the first pass
+        while len(hits) < end:
+            if offset == -len(hits):
+                hits.append(s)
+            t = move(s, POS)
+            s, offset = t.dst, offset + t.deltas[0]
+        return hits, -drift, None
+
+    def meet_zero(s, v):
+        """(state, None) for the state in which the run from (s, v) first
+        has value 0, or (None, verdict) when it ends before.  Callers ask
+        for v <= 1 or v < tail + loop, and a walk that loops downwards has
+        hits for both."""
+        hits, _loop, rest = walk(s)
+        return (hits[v], None) if v < len(hits) else (None, rest)
+
+    zero = {}  # state -> verdict of the run from (state, 0)
+
+    def at_zero(s):
+        path = []
+        while s not in zero:
+            zero[s] = False  # a revisit closes a loop with no final state
+            path.append(s)
+            t = move(s, ZERO)
+            if t is None:
+                verdict = False
+                break
+            s, verdict = meet_zero(t.dst, t.deltas[0])
+            if verdict is not None:
+                break
+        else:
+            verdict = zero[s]
+        for p in path:
+            zero[p] = verdict
+        return verdict
+
+    def accepts(v):
+        s, verdict = meet_zero(q, v)
+        return at_zero(s) if verdict is None else verdict
+
+    hits, loop, rest = walk(q)
+    size = len(hits) + (rest is not None)  # tail + loop
+    return periodic_to_unary(size - loop, loop, {v for v in range(size) if accepts(v)})
+
+
 @dataclass(frozen=True)
 class Lemma1State:
     """State of the marker-free simulation: the original (budget
@@ -292,9 +384,9 @@ def strip_end_marker_one_counter(m: CounterMachine, return_info: bool = False):
         raise PreconditionViolated("end-marker elimination needs exactly one counter")
     if m.l is None:
         raise InfiniteBudget("end-marker elimination needs a finite budget")
-    me = decide.annotate_budgets(m)
+    me = annotate_budgets(m)
     order = sorted(me.states, key=repr)
-    behaviors = [decide.end_marker_behavior(me, q) for q in order]
+    behaviors = [end_marker_behavior(me, q) for q in order]
     tail, loop, accepts = align_unary_family(behaviors)
     accept_of = dict(zip(order, accepts))
 
@@ -362,7 +454,7 @@ def make_non_exiting(m: CounterMachine) -> CounterMachine:
         raise PreconditionViolated("make_non_exiting needs an unmarked machine")
     if not m.deterministic:
         raise PreconditionViolated("make_non_exiting needs a deterministic machine")
-    if not decide.prefix_free_check_machine(m):
+    if not prefix_free_check_machine(m):
         raise NotPrefixFree(f"language of {m.name} is not prefix-free")
     return replace(
         m, transitions=tuple(t for t in m.transitions if t.src not in m.finals))

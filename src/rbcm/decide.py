@@ -22,9 +22,9 @@ from .errors import InfiniteBudget, PreconditionViolated
 from .machine import (
     DIR_DOWN, DIR_NONE, DIR_UP, EOT, POS, RIGHT, STAY, ZERO,
     CounterMachine, Transition, _index, _reachable, _step_budgets,
-    enforce_reversal_control, fresh_budgets, run_deterministic,
+    annotate_budgets, fresh_budgets, run_deterministic,
 )
-from .regular import UnaryDFA, periodic_to_unary, word_dfa
+from .regular import word_dfa
 
 # ---------------------------------------------------------------------------
 # semilinear sets
@@ -352,18 +352,6 @@ def _up_phases_started(entry):
     return (used + 1) // 2
 
 
-def annotate_budgets(m: CounterMachine) -> CounterMachine:
-    """Rebuild the machine with (state, budget annotation) states.
-
-    Unlike enforce_reversal_control this never short-circuits, so the
-    output states always carry their annotations at the top level.
-    """
-    if m.l is None:
-        raise InfiniteBudget("cannot make an unbounded budget explicit")
-    plain = replace(m, budget_explicit=False)
-    return enforce_reversal_control(plain)
-
-
 def to_one_reversal(m: CounterMachine) -> CounterMachine:
     """Language-preserving split of each counter into one-reversal pieces.
 
@@ -382,9 +370,6 @@ def to_one_reversal(m: CounterMachine) -> CounterMachine:
         return ann
     p = (m.l + 1 + 1) // 2  # ceil((l+1)/2)
     k2 = m.k * p
-
-    def sub_range(i):
-        return range(i * p, (i + 1) * p)
 
     transitions = []
     for t in ann.transitions:
@@ -992,106 +977,3 @@ def prefix_free_check_machine(m: CounterMachine) -> bool:
     prod = product_intersection(m, extended)
     empty, _ = is_empty(prod, want_witness=False)
     return empty
-
-
-# ---------------------------------------------------------------------------
-# end-of-tape behaviour of a single counter (tail/loop extraction)
-
-
-def _eot_step(m, idx, state, value):
-    guard = POS if value > 0 else ZERO
-    ts = idx.get((state, EOT), {}).get(guard, ())
-    if not ts:
-        return None
-    if len(ts) > 1:
-        raise PreconditionViolated("end-of-tape behaviour needs determinism")
-    t = ts[0]
-    return t.dst, value + t.deltas[0]
-
-
-def _eot_outcome(m, q, start_value, max_steps=None):
-    """Does the end-of-tape run from (q, value) visit a final state?"""
-    idx = _index(m)
-    nstates = len(m.states)
-    if max_steps is None:
-        max_steps = 50 * (start_value + 2) * (nstates + 2) + 2000
-    state, value = q, start_value
-    history = []          # [(state, value)]
-    by_state = {}         # state -> positions in history
-    steps = 0
-    while True:
-        if state in m.finals:
-            return True
-        for pos in by_state.get(state, ()):
-            pv = history[pos][1]
-            if pv == value:
-                return False  # exact repetition, no final in the loop
-            window = history[pos:]
-            if all(v >= 1 for _, v in window) and value >= 1:
-                if value > pv:
-                    return False  # climbing forever through non-final states
-                delta = pv - value
-                low = min(v for _, v in window)
-                jumps = max(0, (low - 1) // delta)
-                if jumps > 0:
-                    value -= jumps * delta
-                    history = []
-                    by_state = {}
-                break
-        by_state.setdefault(state, []).append(len(history))
-        history.append((state, value))
-        nxt = _eot_step(m, idx, state, value)
-        if nxt is None:
-            return False
-        state, value = nxt
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError("end-of-tape simulation did not settle")
-
-
-def _positive_walk_period(m, q):
-    """Loop delta of the guard-positive walk from q; 1 when it climbs,
-    halts or never cycles."""
-    idx = _index(m)
-    seen = {}
-    state = q
-    offset = 0
-    path = []
-    while state not in seen:
-        seen[state] = offset
-        path.append(state)
-        ts = idx.get((state, EOT), {}).get(POS, ())
-        if not ts:
-            return 1
-        state = ts[0].dst
-        offset += ts[0].deltas[0]
-    d = offset - seen[state]
-    return -d if d < 0 else 1
-
-
-def end_marker_behavior(m: CounterMachine, q) -> UnaryDFA:
-    """Unary tail/loop description of { i : the end-of-tape run from
-    state q with counter value i accepts }.  Needs k = 1 and an explicit
-    budget."""
-    if m.k != 1:
-        raise PreconditionViolated("end_marker_behavior needs exactly one counter")
-    if not m.budget_explicit:
-        raise PreconditionViolated("end_marker_behavior needs a budget-explicit machine")
-    if q not in m.states:
-        raise PreconditionViolated(f"unknown state {q!r}")
-    period = _positive_walk_period(m, q)
-    tail = 4 * len(m.states) + 8
-    for _attempt in range(4):
-        vals = [_eot_outcome(m, q, i) for i in range(tail + 2 * period)]
-        if vals[tail:tail + period] == vals[tail + period:tail + 2 * period]:
-            break
-        tail *= 2
-    else:
-        raise RuntimeError("no stable tail/period found")
-    accept = {i for i in range(tail + period) if vals[i]}
-    out = periodic_to_unary(tail, period, accept)
-    bound = out.tail + 3 * out.loop + len(m.states)
-    for i in range(bound + 1):
-        if out.accepts(i) != _eot_outcome(m, q, i):
-            raise AssertionError(f"end-of-tape behaviour mismatch at {i}")
-    return out

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .errors import NondeterministicInput, PreconditionViolated
+from .errors import InfiniteBudget, NondeterministicInput, PreconditionViolated
 
 EOT = "$"  # end-of-tape marker as it appears in transition symbols
 STAY = "S"
@@ -246,11 +246,6 @@ def applicable_steps(m, config, symbol):
     return out
 
 
-def step(m: CounterMachine, config: Configuration, word: str) -> list:
-    """Successor configurations of `config` while reading `word`."""
-    return [c for _, c in applicable_steps(m, config, current_symbol(m, config, word))]
-
-
 def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
     """Run a deterministic machine, with exact divergence detection.
 
@@ -368,6 +363,17 @@ def enforce_reversal_control(m: CounterMachine) -> CounterMachine:
         deterministic=m.deterministic,
         budget_explicit=True,
     )
+
+
+def annotate_budgets(m: CounterMachine) -> CounterMachine:
+    """Rebuild the machine with (state, budget annotation) states.
+
+    Unlike enforce_reversal_control this never short-circuits, so the
+    output states always carry their annotations at the top level.
+    """
+    if m.l is None:
+        raise InfiniteBudget("cannot make an unbounded budget explicit")
+    return enforce_reversal_control(replace(m, budget_explicit=False))
 
 
 @functools.cache

@@ -1,4 +1,5 @@
-"""Finite automata helpers: DFAs, products, and unary tail/loop analysis."""
+"""Finite automata helpers: DFAs, their counter-free machines, and unary
+tail/loop sets."""
 
 from __future__ import annotations
 
@@ -64,39 +65,6 @@ def full_dfa(alphabet) -> Dfa:
     return Dfa({0}, alphabet, 0, {0}, {(0, a): 0 for a in alphabet})
 
 
-def dfa_complement(d: Dfa) -> Dfa:
-    return Dfa(set(d.states), d.alphabet, d.initial,
-               set(d.states) - set(d.finals), dict(d.delta))
-
-
-def dfa_combine(d1: Dfa, d2: Dfa, mode: str) -> Dfa:
-    """Product construction; mode is one of 'and', 'or', 'diff'."""
-    if tuple(d1.alphabet) != tuple(d2.alphabet):
-        raise PreconditionViolated("dfa_combine needs matching alphabets")
-    if mode not in ("and", "or", "diff"):
-        raise ValueError(f"unknown combine mode {mode!r}")
-    init = (d1.initial, d2.initial)
-    states = {init}
-    delta = {}
-    work = [init]
-    while work:
-        q1, q2 = work.pop()
-        for a in d1.alphabet:
-            dst = (d1.delta[(q1, a)], d2.delta[(q2, a)])
-            delta[((q1, q2), a)] = dst
-            if dst not in states:
-                states.add(dst)
-                work.append(dst)
-    def final(q):
-        f1, f2 = q[0] in d1.finals, q[1] in d2.finals
-        if mode == "and":
-            return f1 and f2
-        if mode == "or":
-            return f1 or f2
-        return f1 and not f2
-    return Dfa(states, d1.alphabet, init, {q for q in states if final(q)}, delta)
-
-
 def _edges(d: Dfa):
     return [(q, p) for (q, _a), p in d.delta.items()]
 
@@ -121,31 +89,6 @@ def prefix_free_check_dfa(d: Dfa) -> bool:
     return True
 
 
-def minimize_dfa(d: Dfa) -> Dfa:
-    """Moore partition refinement over the reachable part."""
-    reach = _reachable([d.initial], _edges(d))
-    part = {}
-    for q in reach:
-        part[q] = 0 if q in d.finals else 1
-    while True:
-        sig = {q: (part[q],) + tuple(part[d.delta[(q, a)]] for a in d.alphabet)
-               for q in reach}
-        renum = {}
-        newpart = {}
-        for q in sorted(reach, key=repr):
-            s = sig[q]
-            if s not in renum:
-                renum[s] = len(renum)
-            newpart[q] = renum[s]
-        if newpart == part:
-            break
-        part = newpart
-    states = set(part.values())
-    delta = {(part[q], a): part[d.delta[(q, a)]] for q in reach for a in d.alphabet}
-    finals = {part[q] for q in reach if q in d.finals}
-    return Dfa(states, d.alphabet, part[d.initial], finals, delta)
-
-
 @dataclass(frozen=True)
 class UnaryDFA:
     """Minimal unary automaton in tail/loop form.
@@ -165,41 +108,20 @@ class UnaryDFA:
         return self.tail + ((i - self.tail) % self.loop) in self.accept
 
 
-def unary_canonicalize(d: Dfa) -> UnaryDFA:
-    """Canonical tail/loop form of a unary DFA, validated against it."""
-    if len(d.alphabet) != 1:
-        raise PreconditionViolated("unary_canonicalize needs a one-letter alphabet")
-    a = d.alphabet[0]
-    mind = minimize_dfa(d)
-    seq = [mind.initial]
-    seen = {mind.initial: 0}
-    while True:
-        nxt = mind.delta[(seq[-1], a)]
-        if nxt in seen:
-            tail = seen[nxt]
-            loop = len(seq) - tail
-            break
-        seen[nxt] = len(seq)
-        seq.append(nxt)
-    accept = frozenset(i for i in range(tail + loop) if seq[i] in mind.finals)
-    out = UnaryDFA(tail, loop, accept)
-    q = d.initial
-    for i in range(2 * len(d.states) + loop + 1):
-        if out.accepts(i) != (q in d.finals):
-            raise AssertionError(f"unary canonicalization mismatch at {i}")
-        q = d.delta[(q, a)]
-    return out
-
-
 def periodic_to_unary(tail: int, loop: int, accept) -> UnaryDFA:
-    """Build a canonical UnaryDFA from explicit tail/loop data."""
+    """Canonical UnaryDFA of the set whose membership bits are `accept`
+    over range(tail + loop), repeating with period `loop` from `tail` on:
+    the least period (a divisor of `loop`), then the shortest tail."""
     if loop < 1 or tail < 0:
         raise ValueError("need loop >= 1 and tail >= 0")
-    n = tail + loop
-    states = set(range(n))
-    delta = {(i, "a"): (i + 1 if i + 1 < n else tail) for i in range(n)}
-    d = Dfa(states, ("a",), 0, {i for i in range(n) if i in set(accept)}, delta)
-    return unary_canonicalize(d)
+    accept = set(accept)
+    bits = [i in accept for i in range(tail + loop)]
+    cycle = bits[tail:]
+    loop = next(p for p in range(1, loop + 1)
+                if loop % p == 0 and cycle == cycle[p:] + cycle[:p])
+    while tail and bits[tail - 1] == bits[tail - 1 + loop]:
+        tail -= 1
+    return UnaryDFA(tail, loop, frozenset(i for i in range(tail + loop) if bits[i]))
 
 
 def align_unary_family(family) -> tuple:

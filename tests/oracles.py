@@ -21,6 +21,10 @@ compares every component with every other: the reference for
 stay cycles and decides their cone with it, the reference for
 `constructions.stay_runs_terminate`.
 
+`eot_accepts` is the end-of-tape run of a one-counter machine simulated
+step by step, importing nothing from `rbcm`: the reference for
+`constructions.end_marker_behavior`.
+
 `window_feasible` is interval propagation and a depth-first search over
 the integer window [0, cap]^n, exact inside the window and importing
 nothing from `rbcm`: the reference for `decide.linear_feasible`.
@@ -452,6 +456,32 @@ def stay_cycles_terminate(m):
         ineqs.append(((1,) * len(effects), 1))
         if fm_feasible(ineqs, len(effects)):
             return False
+    return True
+
+
+def eot_accepts(m, q, v):
+    """Does the end-of-tape run of a deterministic one-counter machine from
+    state q with counter value v reach a final state?  A plain step-by-step
+    simulation over `m.transitions`, with the guard written out as "p" or
+    "z".  The
+    run is rejected on an exact repeat of (state, value), or when a state
+    comes back at a higher value with no zero in between: the same moves
+    then repeat forever, higher each time."""
+    moves = {(t.src, t.guard): t for t in m.transitions if t.symbol == "$"}
+    seen = set()
+    low = {}  # state -> least positive value since the counter was last zero
+    while q not in m.finals:
+        if (q, v) in seen or low.get(q, v) < v:
+            return False
+        seen.add((q, v))
+        if v == 0:
+            low = {}
+        else:
+            low[q] = min(v, low.get(q, v))
+        t = moves.get((q, "p" if v > 0 else "z"))
+        if t is None:
+            return False
+        q, v = t.dst, v + t.deltas[0]
     return True
 
 

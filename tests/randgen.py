@@ -7,6 +7,11 @@ stay pumping.  `stay_up=True` lifts that restriction for the tests of
 the deterministic run: stay moves may then add +1, and half of them loop
 on their source state, which gives pumps and terminating drains.
 
+`eot_machine` draws one-counter machines for the end-of-tape tests: up
+to 8 states whose `$` moves mostly fall, rarely a final state, and a
+reversal budget of 1, 2, 3, 5 or none, so that the accepting counter
+values of a state often repeat with a period above 1.
+
 `lr_machine(R)` builds the fixed family L_R, whose shortest word grows
 as R squared.
 """
@@ -20,6 +25,7 @@ from rbcm.machine import (
     POS,
     RIGHT,
     STAY,
+    ZERO,
     CounterMachine,
     Transition,
     all_guards,
@@ -85,6 +91,24 @@ def machine_pool(seed, count, **kwargs):
     rng = random.Random(seed)
     return [rand_machine(rng, name=f"rand_{seed}_{i}", **kwargs)
             for i in range(count)]
+
+
+def eot_machine(rng: random.Random, name=None) -> CounterMachine:
+    n = rng.randint(1, 8)
+    states = tuple(f"q{i}" for i in range(n))
+    transitions = []
+    for src in states:
+        for guard, pool in ((POS, (-1, -1, 0, 1)), (ZERO, (0, 1))):
+            if rng.random() < 0.85:
+                transitions.append(Transition(
+                    src, EOT, guard, rng.choice(states), STAY, (rng.choice(pool),)))
+    m = CounterMachine(
+        name=name or f"eot{rng.randint(0, 10**6)}", k=1, l=rng.choice((None, 1, 2, 3, 5)),
+        states=frozenset(states), alphabet=("a",), initial=states[0],
+        finals=frozenset(q for q in states if rng.random() < 0.08),
+        transitions=tuple(transitions), marked=True, deterministic=True)
+    assert validate_machine(m) == [], validate_machine(m)
+    return m
 
 
 def lr_machine(R: int) -> CounterMachine:

@@ -18,7 +18,6 @@ from rbcm import constructions as cons
 from rbcm.cli import run_cli
 from rbcm.corpus import CATALOG, corpus_text, load_corpus
 from rbcm.decide import (
-    annotate_budgets,
     enumerate_words,
     is_empty,
     member,

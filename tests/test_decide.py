@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from rbcm.corpus import load_corpus
+from rbcm.constructions import end_marker_behavior
+from rbcm.corpus import CATALOG, load_corpus
 from rbcm import decide
+from rbcm.fileformat import parse_machine
 from rbcm.decide import (
     _ncm_explore,
     _parikh_paths,
@@ -17,7 +19,6 @@ from rbcm.decide import (
     _weight_counters_letters,
     build_phase_automaton,
     compare,
-    end_marker_behavior,
     enumerate_words,
     is_empty,
     is_infinite,
@@ -43,9 +44,11 @@ from rbcm.machine import (
     enforce_reversal_control,
     run_deterministic,
 )
+from rbcm.regular import UnaryDFA
 
 from oracles import (
     OracleBudgetExceeded,
+    eot_accepts,
     fm_feasible,
     min_scan_paths,
     naive_member,
@@ -53,7 +56,7 @@ from oracles import (
     window_feasible,
     words_upto,
 )
-from randgen import lr_machine, rand_machine
+from randgen import eot_machine, lr_machine, rand_machine
 
 
 def _three_reversal_machine():
@@ -387,24 +390,17 @@ def test_solve_diophantine_realizes_solutions():
         assert b[0] + b[1] == 0 and all(v >= 0 for v in b)
 
 
-def _eot_accepts(m, state, value, step_cap=10000):
-    """Independent end-of-tape simulation from (state, counter=value)."""
-    seen = set()
-    q, c = state, value
-    for _ in range(step_cap):
-        if q in m.finals:
-            return True
-        if (q, c) in seen:
-            return False
-        seen.add((q, c))
-        opts = [t for t in m.transitions
-                if t.src == q and t.symbol == EOT
-                and (t.guard == ("p" if c > 0 else "z"))]
-        if not opts:
-            return False
-        (t,) = opts
-        q, c = t.dst, c + t.deltas[0]
-    raise RuntimeError("eot sim did not settle")
+# ---------------------------------------------------------------------------
+# end-of-tape behaviour (constructions.end_marker_behavior) against the
+# step-by-step oracle
+
+
+def _check_end_marker_behavior(m):
+    me = enforce_reversal_control(m)
+    for q in me.states:
+        u = end_marker_behavior(me, q)
+        for v in range(u.tail + 3 * u.loop + len(me.states)):
+            assert u.accepts(v) == eot_accepts(me, q, v), (m.name, q, v, u)
 
 
 def test_end_marker_behavior_matches_simulation():
@@ -413,7 +409,41 @@ def test_end_marker_behavior_matches_simulation():
     for q in me.states:
         u = end_marker_behavior(me, q)
         for i in range(40):
-            assert u.accepts(i) == _eot_accepts(me, q, i), (q, i)
+            assert u.accepts(i) == eot_accepts(me, q, i), (q, i)
+
+
+def _one_counter_machines(source):
+    if source == "eot_machine":
+        rng = random.Random(0)
+        return [eot_machine(rng, name=f"eot_{i}") for i in range(1500)]
+    if source == "corpus":
+        entries = (load_corpus(name).artifact for name in CATALOG)
+        return [m for m in entries if isinstance(m, CounterMachine)
+                and m.k == 1 and m.marked and m.deterministic]
+    rng = random.Random(7)
+    draws = (rand_machine(rng, max_k=1, marked=True, stay_up=True, l=(1, 2, 3, None)[i % 4],
+                          name=f"stay_up_{i}") for i in range(400))
+    return [m for m in draws if m.k == 1]
+
+
+@pytest.mark.parametrize("source", ["eot_machine", "corpus", "rand_machine_stay_up"])
+def test_end_marker_behavior_matches_oracle(source):
+    machines = _one_counter_machines(source)
+    assert len(machines) >= {"eot_machine": 1500, "corpus": 2, "rand_machine_stay_up": 100}[source]
+    for m in machines:
+        _check_end_marker_behavior(m)
+
+
+def test_end_marker_behavior_of_a_zero_loop_without_finals():
+    """From (s0, v) the run drains to (s0, 0), climbs through s1 to
+    (s0, 2) and drains again: it repeats (s0, 0) and never accepts."""
+    me = enforce_reversal_control(parse_machine(
+        "machine zero_loop\nkind dcm\nacceptance marked\ncounters 1\n"
+        "reversals inf\nalphabet a\nstates s0 s1\ninitial s0\nfinal\n"
+        "trans s0 $ p -> s0 S -1\ntrans s0 $ z -> s1 S 1\ntrans s1 $ p -> s0 S 1\n"))
+    for q in ("s0", "s1"):
+        assert end_marker_behavior(me, q) == UnaryDFA(0, 1, frozenset())
+        assert not any(eot_accepts(me, q, v) for v in range(10))
 
 
 def test_end_marker_behavior_mod_counter_start_state_is_even():

@@ -5,12 +5,9 @@ from rbcm.regular import (
     Dfa,
     UnaryDFA,
     align_unary_family,
-    dfa_combine,
-    dfa_complement,
     dfa_from_machine,
     full_dfa,
     machine_from_dfa,
-    minimize_dfa,
     periodic_to_unary,
     prefix_free_check_dfa,
     word_dfa,
@@ -38,28 +35,10 @@ def test_full_dfa_accepts_everything():
     assert dfa_language(d, 3) == set(words_upto("ab", 3))
 
 
-def test_complement_and_combinations():
-    d = _ab_star_ab()
-    lang = dfa_language(d, 5)
-    univ = set(words_upto("ab", 5))
-    assert dfa_language(dfa_complement(d), 5) == univ - lang
-    w = word_dfa("ab", "ab")
-    assert dfa_language(dfa_combine(d, w, "and"), 5) == lang & {"ab"}
-    assert dfa_language(dfa_combine(d, w, "or"), 5) == lang | {"ab"}
-    assert dfa_language(dfa_combine(d, w, "diff"), 5) == lang - {"ab"}
-
-
 def test_prefix_free_check_dfa():
     assert prefix_free_check_dfa(word_dfa("ab", "ab"))
     assert not prefix_free_check_dfa(_ab_star_ab())  # lambda prefixes "ab"
     assert not prefix_free_check_dfa(full_dfa("a"))
-
-
-def test_minimize_preserves_language_and_shrinks():
-    d = _ab_star_ab()
-    md = minimize_dfa(d)
-    assert len(md.states) <= len(d.states)
-    assert dfa_language(md, 6) == dfa_language(d, 6)
 
 
 def test_machine_dfa_round_trip():
@@ -77,9 +56,20 @@ def test_periodic_to_unary_matches_definition(tail, loop, data):
         i for i in range(tail + loop) if data.draw(st.booleans(), label=f"bit{i}"))
     u = periodic_to_unary(tail, loop, accept)
     assert isinstance(u, UnaryDFA)
+
+    def member(i):
+        return (i in accept) if i < tail else ((tail + (i - tail) % loop) in accept)
+
     for i in range(tail + 4 * loop + 4):
-        expected = (i in accept) if i < tail else ((tail + (i - tail) % loop) in accept)
-        assert u.accepts(i) == expected, i
+        assert u.accepts(i) == member(i), i
+    assert u.accept <= set(range(u.tail + u.loop))
+    # canonical: any tail t and loop p that describe the set have
+    # t >= u.tail and p a multiple of u.loop; both sides are periodic
+    # with period `loop` from max(t, tail) on, so one window decides
+    for t in range(tail + loop + 1):
+        for p in range(1, loop + 1):
+            if all(member(i) == member(i + p) for i in range(t, max(t, tail) + loop)):
+                assert t >= u.tail and p % u.loop == 0, (t, p, u)
 
 
 def test_align_unary_family_preserves_members():
