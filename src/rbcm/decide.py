@@ -21,7 +21,7 @@ from math import gcd
 from .errors import InfiniteBudget, PreconditionViolated
 from .machine import (
     DIR_DOWN, DIR_NONE, DIR_UP, EOT, POS, RIGHT, STAY, ZERO,
-    CounterMachine, Transition, _index, _reachable, _step_budgets,
+    CounterMachine, Transition, _index, _moves, _reachable,
     annotate_budgets, fresh_budgets, run_deterministic,
 )
 from .regular import word_dfa
@@ -667,63 +667,89 @@ def _ncm_explore(m: CounterMachine, targets, cap):
 
     Returns (accepted, undecided): words proven accepted, and words the
     counter cap or the node budget NCM_NODE_BUDGET left unresolved.
+
+    Cost: one move-table lookup per configuration.  A configuration is
+    (trie node, lookahead, state, counters, budgets), where the trie
+    node is an integer id for the prefix read so far and the lookahead
+    is the next letter or EOT; children are visited in alphabet order.
+
+    No verdict of `member` or `enumerate_words` depends on the budget.
+    A word is reported accepted only with an accepting run in hand, and
+    once the budget runs out every target not accepted is reported
+    undecided, which those callers settle by a larger cap and the exact
+    emptiness pipeline on the word product.  The one place the budget
+    still decides an outcome is `_search_witness`'s `cap *= 4` loop: it
+    returns the shortest word accepted before the budget ran out, and it
+    never ends when the budget runs out before any word is accepted.
+    (`_probe_witness` may also find fewer words, but it is only a
+    shortcut: a miss sends `is_empty` on to the proof route.)
     """
-    targets = set(targets)
-    prefixes = set()
+    child = {}           # (node, letter) -> node; node 0 is the empty word
+    word_at = {}         # target node -> its word
     for w in targets:
-        for i in range(len(w) + 1):
-            prefixes.add(w[:i])
-    accepted = set()
-    poisoned_prefixes = set()
-    poisoned_exact = set()
+        node = 0
+        for x in w:
+            nxt = child.get((node, x))
+            if nxt is None:
+                nxt = child[node, x] = len(child) + 1
+            node = nxt
+        word_at[node] = w
+    kids = [[] for _ in range(len(child) + 1)]
+    for x in m.alphabet:
+        for node in range(len(kids)):
+            if (node, x) in child:
+                kids[node].append(x)
+    moves_at = _moves(m)
+    finals = m.finals
+    add = operator.add
+    accepted = set()     # nodes
+    cut_below = set()    # nodes whose every extension passed the cap
+    cut_at = set()       # nodes whose end-of-tape run passed the cap
     seen = set()
     work = []
 
-    def fork(w, state, counters, budgets):
-        if w in targets and w not in accepted:
-            push((w, EOT, state, counters, budgets))
-        for x in m.alphabet:
-            if w + x in prefixes:
-                push((w, x, state, counters, budgets))
+    def fork(node, state, counters, budgets):
+        looks = kids[node]
+        if node in word_at and node not in accepted:
+            looks = (EOT, *looks)
+        for x in looks:
+            cfg = (node, x, state, counters, budgets)
+            if cfg not in seen:
+                seen.add(cfg)
+                work.append(cfg)
 
-    def push(cfg):
-        if cfg not in seen:
-            seen.add(cfg)
-            work.append(cfg)
-
-    fork("", m.initial, (0,) * m.k, fresh_budgets(m.k))
-    idx = _index(m)
+    fork(0, m.initial, (0,) * m.k, fresh_budgets(m.k))
     exhausted = False
     while work:
         if len(seen) > NCM_NODE_BUDGET:
             exhausted = True
             break
-        w, look, state, counters, budgets = work.pop()
-        if look == EOT and state in m.finals:
-            accepted.add(w)
+        node, look, state, counters, budgets = work.pop()
+        if look == EOT and state in finals:
+            accepted.add(node)
             continue
-        guard = m.status(counters)
-        for t in idx.get((state, look), {}).get(guard, ()):
-            nb = _step_budgets(budgets, t.deltas, m.l)
-            if nb is None:
-                continue
-            nc = tuple(c + d for c, d in zip(counters, t.deltas))
-            if any(c > cap for c in nc):
+        for t, nb in moves_at[state, look, tuple(map(bool, counters)), budgets]:
+            nc = tuple(map(add, counters, t.deltas))
+            if nc and max(nc) > cap:
                 if look == EOT:
-                    poisoned_exact.add(w)
+                    cut_at.add(node)
                 else:
-                    poisoned_prefixes.add(w + look)
+                    cut_below.add(child[node, look])
                 continue
-            if t.move == RIGHT:
-                fork(w + look, t.dst, nc, nb)
-            else:
-                push((w, look, t.dst, nc, nb))
-    undecided = set()
-    for w in targets - accepted:
-        if exhausted or w in poisoned_exact or \
-                any(w[:i] in poisoned_prefixes for i in range(1, len(w) + 1)):
-            undecided.add(w)
-    return accepted, undecided
+            if t.move == STAY:
+                cfg = (node, look, t.dst, nc, nb)
+                if cfg not in seen:
+                    seen.add(cfg)
+                    work.append(cfg)
+            elif look != EOT:       # validate_machine forbids moving on EOT
+                fork(child[node, look], t.dst, nc, nb)
+    if not exhausted:
+        for (node, _), nxt in child.items():    # parents come first
+            if node in cut_below:
+                cut_below.add(nxt)
+    undecided = {w for node, w in word_at.items() if node not in accepted
+                 and (exhausted or node in cut_at or node in cut_below)}
+    return {word_at[node] for node in accepted}, undecided
 
 
 def _nonempty_feasible(m: CounterMachine):
@@ -756,7 +782,7 @@ def member(m: CounterMachine, word: str) -> bool:
     """Exact membership.  Deterministic machines run directly; for the
     rest, a bounded run search settles most words and the emptiness
     pipeline on the word product settles the remainder."""
-    if any(ch not in m.alphabet for ch in word):
+    if not set(word).issubset(m.alphabet):
         return False
     if m.deterministic:
         return run_deterministic(m, word).verdict == "accept"

@@ -224,26 +224,53 @@ def _index(m: CounterMachine):
     return cached
 
 
+class _MoveTable(dict):
+    """(state, symbol, status, budgets) -> the ((transition, new budgets),
+    ...) moves that the guard and the reversal budget allow there, filled
+    on first lookup.  `status` holds `bool(c)` per counter (counters are
+    never negative: validate_machine rejects a decrement under a zero
+    guard).  The keys are finite: budgets are bounded for a finite `l`
+    and keep directions only for `l` None."""
+
+    __slots__ = ("index", "l")
+
+    def __init__(self, m: CounterMachine):
+        super().__init__()
+        self.index = _index(m)
+        self.l = m.l
+
+    def __missing__(self, key):
+        state, symbol, status, budgets = key
+        guard = "".join([POS if s else ZERO for s in status])
+        moves = []
+        for t in self.index.get((state, symbol), {}).get(guard, ()):
+            nb = _step_budgets(budgets, t.deltas, self.l)
+            if nb is not None:
+                moves.append((t, nb))
+        moves = self[key] = tuple(moves)
+        return moves
+
+
+def _moves(m: CounterMachine) -> _MoveTable:
+    """The machine's move table, cached on the machine."""
+    cached = m.__dict__.get("_move_table")
+    if cached is None:
+        cached = _MoveTable(m)
+        object.__setattr__(m, "_move_table", cached)
+    return cached
+
+
 def current_symbol(m: CounterMachine, config: Configuration, word: str) -> str:
     return word[config.consumed] if config.consumed < len(word) else EOT
 
 
 def applicable_steps(m, config, symbol):
     """All (transition, successor) pairs respecting guards and budgets."""
-    guard = m.status(config.counters)
-    out = []
-    for t in _index(m).get((config.state, symbol), {}).get(guard, ()):
-        budgets = _step_budgets(config.budgets, t.deltas, m.l)
-        if budgets is None:
-            continue
-        succ = Configuration(
-            t.dst,
-            config.consumed + (1 if t.move == RIGHT else 0),
-            apply_deltas(config.counters, t.deltas),
-            budgets,
-        )
-        out.append((t, succ))
-    return out
+    counters = config.counters
+    moves = _moves(m)[config.state, symbol, tuple(map(bool, counters)), config.budgets]
+    return [(t, Configuration(t.dst, config.consumed + (t.move == RIGHT),
+                              apply_deltas(counters, t.deltas), nb))
+            for t, nb in moves]
 
 
 def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
@@ -256,8 +283,12 @@ def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
     [t1, t2].  The certificate's t2 is the first step at which any such
     lasso closes, and its t1 is the earliest step that qualifies.
 
-    Cost: O(k) per step when `m.l` is finite.  Two steps with the same
-    annotation have the same (direction, used) for every counter, so no
+    Cost: one move-table lookup per step, plus O(k) lasso bookkeeping on
+    stay steps only.  Step t1 of a lasso takes a stay move, and t2 has
+    t1's key and symbol, so t2 takes the same stay move: a step that
+    reads input never closes a lasso, and the record it would leave is
+    dropped at once.  Two steps with the same annotation have the same
+    (direction, used) for every counter when `m.l` is finite, so no
     counter reversed between them: a counter that fell can never climb
     back, and a key keeps only its latest step.  With `m.l` None the
     directions may flip and return, so every earlier step of the key is
@@ -265,52 +296,53 @@ def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
     """
     if not m.deterministic:
         raise NondeterministicInput("run_deterministic needs a deterministic machine")
-    index = _index(m)
+    moves_at = _moves(m)
+    add = operator.add
     prune = m.l is not None
+    finals = m.finals
+    n = len(word)
     config = initial_configuration(m)
+    state, consumed, counters, budgets = (
+        config.state, config.consumed, config.counters, config.budgets)
     steps = []
     # stay segment bookkeeping since the last input-consuming move:
     earlier = {}              # lasso key -> [(trace index, counters)]
-    last_zero = [-1] * m.k    # last trace index at which counter i was 0
+    last_zero = [-1] * m.k    # last trace index at which counter i was 0;
+    # an index left from an earlier segment is below every t1 of this one
     while True:
-        t2 = len(steps)
-        state, consumed, counters, budgets = (
-            config.state, config.consumed, config.counters, config.budgets)
-        if consumed == len(word) and state in m.finals:
+        if consumed == n and state in finals:
             steps.append((config, None))
             return RunTrace(steps, "accept")
-        status = m.status(counters)
-        for i, c in enumerate(counters):
-            if not c:
-                last_zero[i] = t2
-        entries = earlier.setdefault((state, status, budgets), [])
-        for t1, c1 in entries:
-            growth = tuple(b - a for a, b in zip(c1, counters))
-            if all(g >= 0 for g in growth) and \
-                    all(last_zero[i] < t1 for i, g in enumerate(growth) if g):
-                steps.append((config, None))
-                return RunTrace(steps, "diverge", DivergenceCertificate(t1, t2, growth))
-        if prune:
-            entries.clear()     # none of them can qualify later (see above)
-        entries.append((t2, counters))
-        symbol = word[consumed] if consumed < len(word) else EOT
-        options = []
-        for t in index.get((state, symbol), {}).get(status, ()):
-            nb = _step_budgets(budgets, t.deltas, m.l)
-            if nb is not None:
-                options.append((t, nb))
-        if not options:
+        status = tuple(map(bool, counters))
+        moves = moves_at[state, word[consumed] if consumed < n else EOT, status, budgets]
+        if len(moves) != 1:
+            if moves:
+                raise NondeterministicInput(f"multiple transitions applicable from {state!r}")
             steps.append((config, None))
             return RunTrace(steps, "reject")
-        if len(options) > 1:
-            raise NondeterministicInput(f"multiple transitions applicable from {state!r}")
-        t, nb = options[0]
-        steps.append((config, t))
+        t, nb = moves[0]
         if t.move == RIGHT:
             consumed += 1
-            earlier = {}
-            last_zero = [-1] * m.k
-        config = Configuration(t.dst, consumed, apply_deltas(counters, t.deltas), nb)
+            if earlier:
+                earlier = {}
+        else:
+            t2 = len(steps)
+            for i, c in enumerate(counters):
+                if not c:
+                    last_zero[i] = t2
+            entries = earlier.setdefault((state, status, budgets), [])
+            for t1, c1 in entries:
+                growth = tuple(b - a for a, b in zip(c1, counters))
+                if all(g >= 0 for g in growth) and \
+                        all(last_zero[i] < t1 for i, g in enumerate(growth) if g):
+                    steps.append((config, None))
+                    return RunTrace(steps, "diverge", DivergenceCertificate(t1, t2, growth))
+            if prune:
+                entries.clear()     # none of them can qualify later (see above)
+            entries.append((t2, counters))
+        steps.append((config, t))
+        state, counters, budgets = t.dst, tuple(map(add, counters, t.deltas)), nb
+        config = Configuration(state, consumed, counters, budgets)
 
 
 def accepts(m: CounterMachine, word: str) -> bool:

@@ -11,6 +11,11 @@ space is finite.
 scan, the reference for `machine.run_deterministic`'s verdicts, traces
 and divergence certificates.
 
+`ncm_explore_reference` is the bounded run search over string prefixes,
+stepping by a scan of the transitions, with the node budget as an
+argument: the reference for `decide._ncm_explore`, pop order and node
+count alike.
+
 `min_scan_paths` is state elimination that picks each node by a scan over
 every remaining one, on its own semilinear-set algebra whose `pairwise_dedup`
 compares every component with every other: the reference for
@@ -162,6 +167,72 @@ def lasso_run(m, word, step_cap=20_000):
         if t.move == RIGHT:
             pos += 1
             seg_start = len(steps)
+
+
+def ncm_explore_reference(m, targets, cap, node_budget):
+    """Search the runs of `m` on every word of `targets` at once, over
+    the set of their string prefixes.
+
+    Returns (accepted, undecided) as `decide._ncm_explore` does: the
+    words with an accepting run found, and the words not accepted whose
+    search passed `cap` on some counter (on the word's end-of-tape run,
+    or on a move into one of its prefixes), or all words not accepted
+    once more than `node_budget` configurations were seen.  Depth-first,
+    letters in alphabet order after the end-of-tape lookahead, moves in
+    transition order.
+    """
+    moves = {}
+    for t in m.transitions:
+        moves.setdefault((t.src, t.symbol, t.guard), []).append(t)
+    targets = set(targets)
+    prefixes = {w[:i] for w in targets for i in range(len(w) + 1)}
+    accepted, poisoned_prefixes, poisoned_exact = set(), set(), set()
+    seen, work = set(), []
+
+    def push(cfg):
+        if cfg not in seen:
+            seen.add(cfg)
+            work.append(cfg)
+
+    def fork(w, state, counters, budgets):
+        if w in targets and w not in accepted:
+            push((w, EOT, state, counters, budgets))
+        for x in m.alphabet:
+            if w + x in prefixes:
+                push((w, x, state, counters, budgets))
+
+    fork("", m.initial, (0,) * m.k, ((DIR_NONE, 0),) * m.k)
+    exhausted = False
+    while work:
+        if len(seen) > node_budget:
+            exhausted = True
+            break
+        w, look, state, counters, budgets = work.pop()
+        if look == EOT and state in m.finals:
+            accepted.add(w)
+            continue
+        guard = "".join(POS if c > 0 else ZERO for c in counters)
+        for t in moves.get((state, look, guard), ()):
+            nb = tuple(_bump(e, d) for e, d in zip(budgets, t.deltas))
+            if m.l is None:
+                nb = tuple((d, 0) for d, _ in nb)
+            elif any(u > m.l for _, u in nb):
+                continue
+            nc = tuple(c + d for c, d in zip(counters, t.deltas))
+            if any(c > cap for c in nc):
+                if look == EOT:
+                    poisoned_exact.add(w)
+                else:
+                    poisoned_prefixes.add(w + look)
+                continue
+            if t.move == RIGHT:
+                fork(w + look, t.dst, nc, nb)
+            else:
+                push((w, look, t.dst, nc, nb))
+    undecided = {w for w in targets - accepted
+                 if exhausted or w in poisoned_exact
+                 or any(w[:i] in poisoned_prefixes for i in range(1, len(w) + 1))}
+    return accepted, undecided
 
 
 def naive_language(m, max_len):

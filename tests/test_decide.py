@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rbcm.constructions import end_marker_behavior
+from rbcm.constructions import end_marker_behavior, inverse_insertion_ncm
 from rbcm.corpus import CATALOG, load_corpus
 from rbcm import decide
 from rbcm.fileformat import parse_machine
@@ -52,6 +52,7 @@ from oracles import (
     fm_feasible,
     min_scan_paths,
     naive_member,
+    ncm_explore_reference,
     pairwise_dedup,
     window_feasible,
     words_upto,
@@ -97,6 +98,8 @@ def test_member_and_enumerate_agree_on_corpus(corpus_machines):
         words = set(enumerate_words(m, 6))
         for w in words_upto(m.alphabet, 6):
             assert (w in words) == member(m, w), (m.name, w)
+        for w in ("?", "".join(m.alphabet) + "?", "?" + m.alphabet[0]):
+            assert not member(m, w), (m.name, w)
 
 
 def test_is_empty_on_corpus_and_witnesses(corpus_machines):
@@ -149,6 +152,65 @@ def test_probe_is_one_bounded_search(monkeypatch):
         assert _probe_witness(m) is None
     assert enumerate_words(m, 3) == ["a"]
     assert is_empty(m) == (False, "a")
+
+
+def _explore_targets(m, rng):
+    """Every word up to 5 letters (4 on a larger alphabet) and eight
+    longer words that extend them, so the targets share prefixes."""
+    short = list(words_upto(m.alphabet, 5 if len(m.alphabet) <= 2 else 4))
+    longer = [rng.choice(short) + "".join(rng.choice(m.alphabet)
+                                          for _ in range(rng.randint(1, 5)))
+              for _ in range(8)]
+    return short + longer
+
+
+def test_ncm_explore_matches_string_prefix_reference(nondet_pool, monkeypatch):
+    """The trie explorer returns the reference's (accepted, undecided)
+    exactly: at caps low enough to cut prefixes and end-of-tape runs
+    (the stay_up pool's stay moves may increment), and with a node
+    budget low enough to run out."""
+    rng = random.Random(11)
+    machines = list(nondet_pool) + [
+        rand_machine(rng, deterministic=False, l=2, stay_up=True) for _ in range(12)] + [
+        inverse_insertion_ncm(load_corpus(name).artifact, mode)
+        for name in ("M_ab1", "M_neq")
+        for mode in ("prefix", "suffix", "infix", "outfix", "embed")]
+    cut = exhausted = 0
+    for m in machines:
+        words = _explore_targets(m, rng)
+        longest = max(map(len, words))
+        for cap in (0, 1, 2, longest + 16):
+            got = _ncm_explore(m, words, cap)
+            assert got == ncm_explore_reference(m, words, cap, decide.NCM_NODE_BUDGET), \
+                (m.name, cap)
+            cut += bool(got[1])
+        full = _ncm_explore(m, words, longest + 16)
+        with monkeypatch.context() as p:
+            p.setattr(decide, "NCM_NODE_BUDGET", 40)
+            low = _ncm_explore(m, words, longest + 16)
+        assert low == ncm_explore_reference(m, words, longest + 16, 40), m.name
+        if low != full:
+            assert low[1] == set(words) - low[0]
+            exhausted += 1
+    assert cut and exhausted
+
+
+def test_member_and_enumeration_do_not_depend_on_node_budget(corpus_machines, monkeypatch):
+    m_ab1 = load_corpus("M_ab1").artifact
+    machines = list(corpus_machines) + [
+        inverse_insertion_ncm(m_ab1, mode) for mode in ("infix", "outfix")]
+
+    def answers():
+        return [([member(m, w) for w in words_upto(m.alphabet, 4)], enumerate_words(m, 4))
+                for m in machines]
+
+    expected = answers()
+    monkeypatch.setattr(decide, "NCM_NODE_BUDGET", 10)
+    assert answers() == expected
+    for m in machines[-2:]:     # the budget runs out: nothing is left to the cap
+        words = list(words_upto(m.alphabet, 4))
+        accepted, undecided = _ncm_explore(m, words, 4 + 16)
+        assert undecided and undecided == set(words) - accepted
 
 
 def _run_python(code, *flags, hashseed="0"):
