@@ -8,6 +8,7 @@ command but `validate` refuses one), 5 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -342,10 +343,16 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """One parser per process: building it costs more than most verdicts,
+    and parsing leaves it unchanged (each call gets a fresh namespace)."""
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     rep = _Report(args.command, getattr(args, "json", False))

@@ -1,11 +1,14 @@
 """Decision procedures for machines with finite reversal budgets.
 
-The pipeline: normalise to one reversal per counter, abstract runs into
-a finite phase automaton whose per-counter modes track "still zero /
-rising / falling / back at zero", compute the Parikh image of its path
-language by state elimination over a semilinear-set algebra, and settle
-questions (emptiness, membership, infinity, Parikh image) with integer
-feasibility checks over the resulting linear sets.
+The proof route: abstract runs into a finite phase automaton, explored
+straight from the machine, in which each counter is split into
+one-reversal sub-counters whose modes track "still zero / rising /
+falling / back at zero"; compute the Parikh image of its path language
+by state elimination over a semilinear-set algebra; and settle questions
+(emptiness, membership, infinity, Parikh image) with integer feasibility
+checks over the resulting linear sets.  The written-out split,
+`to_one_reversal`, is an exported construction only: no decision
+procedure builds it.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
-from .errors import InfiniteBudget, PreconditionViolated
+from .errors import InfiniteBudget
 from .machine import (
-    DIR_DOWN, DIR_NONE, DIR_UP, EOT, POS, RIGHT, STAY, ZERO,
+    DIR_DOWN, EOT, POS, RIGHT, STAY, ZERO,
     CounterMachine, Transition, _index, _moves, _reachable,
-    annotate_budgets, fresh_budgets, run_deterministic,
+    all_guards, annotate_budgets, fresh_budgets, run_deterministic,
 )
 from .regular import word_dfa
 
@@ -343,13 +346,28 @@ def solve_diophantine(eqs, nvars):
 # one-reversal normal form
 
 
-def _up_phases_started(entry):
-    d, used = entry
-    if d == DIR_NONE:
-        return 0
-    if d == DIR_UP:
-        return used // 2 + 1
-    return (used + 1) // 2
+def _phases(l):
+    """Sub-counters per counter in the one-reversal split: ceil((l+1)/2),
+    one per rising phase."""
+    return (l + 2) // 2
+
+
+def _sub_deltas(d, entry, block):
+    """Deltas of one counter's sub-counters, whose zero/positive pattern
+    is `block`, for a counter delta d taken at budget entry `entry`: an
+    increment feeds the sub-counter of the current rising phase, a
+    decrement drains the newest positive one.  None when an increment
+    finds no rising phase left."""
+    sub = [0] * len(block)
+    if d == 1:
+        direction, used = entry
+        phase = (used + (direction == DIR_DOWN)) // 2
+        if phase >= len(block):
+            return None
+        sub[phase] = 1
+    elif d == -1 and POS in block:
+        sub[block.rindex(POS)] = -1
+    return tuple(sub)
 
 
 def to_one_reversal(m: CounterMachine) -> CounterMachine:
@@ -357,7 +375,8 @@ def to_one_reversal(m: CounterMachine) -> CounterMachine:
 
     Counter i becomes ceil((l+1)/2) sub-counters, one per rising phase;
     decrements drain the newest non-empty piece.  For l <= 1 the machine
-    only gains explicit budget annotations.
+    only gains explicit budget annotations.  An exported construction
+    only: `build_phase_automaton` explores the same split lazily.
     """
     if m.l is None:
         raise InfiniteBudget("one-reversal normal form needs a finite budget")
@@ -368,45 +387,26 @@ def to_one_reversal(m: CounterMachine) -> CounterMachine:
     ann = annotate_budgets(m)
     if m.l <= 1:
         return ann
-    p = (m.l + 1 + 1) // 2  # ceil((l+1)/2)
-    k2 = m.k * p
+    p = _phases(m.l)
+    positive = all_guards(p)[1:]       # every pattern but the all-zero one
 
     transitions = []
     for t in ann.transitions:
-        budgets = t.src[1]
         per_counter = []
-        for i in range(m.k):
-            g, d = t.guard[i], t.deltas[i]
-            idx_inc = _up_phases_started(budgets[i])
-            if budgets[i][0] == DIR_UP:
-                idx_inc -= 1
+        for g, d, entry in zip(t.guard, t.deltas, t.src[1]):
             options = []
-            if g == ZERO:
-                sub_d = [0] * p
-                if d == 1:
-                    sub_d[idx_inc] = 1
-                options.append(((ZERO,) * p, tuple(sub_d)))
-            else:
-                for pat in itertools.product((ZERO, POS), repeat=p):
-                    if POS not in pat:
-                        continue
-                    sub_d = [0] * p
-                    if d == 1:
-                        if idx_inc >= p:
-                            continue
-                        sub_d[idx_inc] = 1
-                    elif d == -1:
-                        newest = max(j for j in range(p) if pat[j] == POS)
-                        sub_d[newest] = -1
-                    options.append((pat, tuple(sub_d)))
+            for pat in (ZERO * p,) if g == ZERO else positive:
+                sub = _sub_deltas(d, entry, pat)
+                if sub is not None:
+                    options.append((pat, sub))
             per_counter.append(options)
         for combo in itertools.product(*per_counter):
-            guard = "".join("".join(g) for g, _ in combo)
+            guard = "".join(g for g, _ in combo)
             deltas = tuple(x for _, ds in combo for x in ds)
             transitions.append(replace(t, guard=guard, deltas=deltas))
     return CounterMachine(
         name=m.name + "_1rev",
-        k=k2,
+        k=m.k * p,
         l=1,
         states=ann.states,
         alphabet=ann.alphabet,
@@ -426,7 +426,7 @@ MODE_Z0, MODE_UP, MODE_DOWN, MODE_Z1 = "0", "u", "d", "1"
 READING, AT_EOT = "r", "e"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseEdge:
     eid: int
     src: tuple
@@ -446,13 +446,6 @@ class PhaseAutomaton:
     accepting: set
 
 
-def _guard_matches_modes(guard, modes):
-    for g, mo in zip(guard, modes):
-        if (g == ZERO) != (mo in (MODE_Z0, MODE_Z1)):
-            return False
-    return True
-
-
 def _mode_options(mo, delta):
     if delta == 0:
         return [mo]
@@ -462,23 +455,59 @@ def _mode_options(mo, delta):
 
 
 def build_phase_automaton(m: CounterMachine) -> PhaseAutomaton:
-    """Finite abstraction of a budget-explicit one-reversal machine.
+    """Finite abstraction of a machine with a finite reversal budget.
 
-    Nodes carry (state, per-counter mode, reading/at-end flag, pending
-    letter).  The pending letter pins the symbol under the head across
-    stay moves so that stays and the eventual consuming move agree.
+    Each counter is split into ceil((l+1)/2) one-reversal sub-counters,
+    as `to_one_reversal` splits it (Ibarra, JACM 1978), and each
+    sub-counter carries a mode: still zero, rising, falling or back at
+    zero (the one-reversal abstraction of Hague and Lin, CAV 2011).
+    Nodes carry (state, modes, reading/at-end flag, pending letter).  The
+    state is a (state, budget annotation) pair, except that a
+    budget-explicit machine with l <= 1 keeps its own states, as
+    `to_one_reversal` does.  The pending letter pins the symbol under the
+    head across stay moves so that stays and the eventual consuming move
+    agree.
+
+    The split is explored straight from the machine, so only the (node,
+    transition) pairs reached are built.  A node's modes give the
+    sub-counter guard and the counter status (a counter is positive iff
+    one of its sub-counters rises or falls); the move table gives the
+    moves at that status and the node's budgets, and `_sub_deltas` their
+    sub-counter deltas.  Nodes and edges come out as exploring
+    `to_one_reversal(m)` would make them, in the same order.
     """
-    if m.l is not None and m.l > 1:
-        raise PreconditionViolated("phase automaton needs the one-reversal form")
-    idx = _index(m)
-    k = m.k
-    init = (m.initial, MODE_Z0 * k, READING, None)
+    if m.l is None:
+        raise InfiniteBudget("the phase automaton needs a finite budget")
+    plain = m.l <= 1 and m.budget_explicit
+    p = 1 if plain else _phases(m.l)
+    k = m.k * p
+    blocks = range(0, k, p)
+    index, table = _index(m), _moves(m)
+
+    def steps(state, sym, guard):
+        """(target, move, sub-counter deltas) of the moves on sym."""
+        if plain:
+            return [(t.dst, t.move, t.deltas)
+                    for t in index.get((state, sym), {}).get(guard, ())]
+        q, budgets = state
+        status = tuple(POS in guard[i:i + p] for i in blocks)
+        out = []
+        for t, nb in table[q, sym, status, budgets]:
+            subs = [_sub_deltas(d, entry, guard[i:i + p])
+                    for i, d, entry in zip(blocks, t.deltas, budgets)]
+            if None not in subs:
+                out.append(((t.dst, nb), t.move, sum(subs, ())))
+        return out
+
+    init = (m.initial if plain else (m.initial, fresh_budgets(m.k)),
+            MODE_Z0 * k, READING, None)
     nodes = {init}
     edges = []
     work = [init]
     while work:
         node = work.pop()
-        q, modes, phase, pending = node
+        state, modes, phase, pending = node
+        guard = "".join([ZERO if mo in (MODE_Z0, MODE_Z1) else POS for mo in modes])
 
         def add_edge(dst, letter, deltas):
             if dst not in nodes:
@@ -489,33 +518,25 @@ def build_phase_automaton(m: CounterMachine) -> PhaseAutomaton:
                 tuple(1 if d == 1 else 0 for d in deltas),
                 tuple(1 if d == -1 else 0 for d in deltas)))
 
-        if phase == READING:
-            for sym in m.alphabet:
-                if pending is not None and sym != pending:
-                    continue
-                for guard, ts in idx.get((q, sym), {}).items():
-                    if not _guard_matches_modes(guard, modes):
-                        continue
-                    for t in ts:
-                        opts = [_mode_options(mo, d) for mo, d in zip(modes, t.deltas)]
-                        for newmodes in itertools.product(*opts):
-                            nm = "".join(newmodes)
-                            if t.move == RIGHT:
-                                add_edge((t.dst, nm, READING, None), sym, t.deltas)
-                            else:
-                                add_edge((t.dst, nm, READING, sym), None, t.deltas)
-            if pending is None:
-                add_edge((q, modes, AT_EOT, None), None, (0,) * k)
+        if phase == AT_EOT:
+            syms = (EOT,)
         else:
-            for guard, ts in idx.get((q, EOT), {}).items():
-                if not _guard_matches_modes(guard, modes):
-                    continue
-                for t in ts:
-                    opts = [_mode_options(mo, d) for mo, d in zip(modes, t.deltas)]
-                    for newmodes in itertools.product(*opts):
-                        add_edge((t.dst, "".join(newmodes), AT_EOT, None),
-                                 None, t.deltas)
-    accepting = {n for n in nodes if n[2] == AT_EOT and n[0] in m.finals}
+            syms = m.alphabet if pending is None else (pending,)
+        for sym in syms:
+            for dst, move, deltas in steps(state, sym, guard):
+                opts = [_mode_options(mo, d) for mo, d in zip(modes, deltas)]
+                for newmodes in itertools.product(*opts):
+                    nm = "".join(newmodes)
+                    if phase == AT_EOT:
+                        add_edge((dst, nm, AT_EOT, None), None, deltas)
+                    elif move == RIGHT:
+                        add_edge((dst, nm, READING, None), sym, deltas)
+                    else:
+                        add_edge((dst, nm, READING, sym), None, deltas)
+        if phase == READING and pending is None:
+            add_edge((state, modes, AT_EOT, None), None, (0,) * k)
+    accepting = {n for n in nodes if n[2] == AT_EOT
+                 and (n[0] if plain else n[0][0]) in m.finals}
     pa = PhaseAutomaton(k, m.alphabet, nodes, edges, init, accepting)
     _trim_phase_automaton(pa)
     return pa
@@ -606,19 +627,6 @@ def _parikh_paths(pa: PhaseAutomaton, target, weight, dims):
             if n in position:
                 heapq.heappush(heap, (degree(n), position[n], n))
     return graph.get(src, {}).get(snk, ())
-
-
-def parikh_edges(pa: PhaseAutomaton, target) -> SemilinearSet:
-    """Parikh image of paths to `target` counting each edge separately."""
-    dims = len(pa.edges)
-    pos = {e.eid: i for i, e in enumerate(pa.edges)}
-
-    def weight(e):
-        v = [0] * dims
-        v[pos[e.eid]] = 1
-        return tuple(v)
-
-    return _parikh_paths(pa, target, weight, dims)
 
 
 def _weight_counters_letters(pa: PhaseAutomaton, per_letter: bool):
@@ -754,7 +762,7 @@ def _ncm_explore(m: CounterMachine, targets, cap):
 
 def _nonempty_feasible(m: CounterMachine):
     """(feasible, letter_total_hint) via the phase abstraction."""
-    pa = build_phase_automaton(to_one_reversal(m))
+    pa = build_phase_automaton(m)
     if not pa.accepting:
         return False, None
     weight, dims = _weight_counters_letters(pa, per_letter=False)
@@ -875,7 +883,7 @@ def is_empty(m: CounterMachine, want_witness: bool = True):
 def is_infinite(m: CounterMachine) -> bool:
     """True iff the language is infinite: some feasible component admits
     a direction that keeps all side conditions and adds input letters."""
-    pa = build_phase_automaton(to_one_reversal(m))
+    pa = build_phase_automaton(m)
     weight, dims = _weight_counters_letters(pa, per_letter=False)
     letters = [0] * dims
     letters[-1] = 1
@@ -897,7 +905,7 @@ def is_infinite(m: CounterMachine) -> bool:
 def parikh_image(m: CounterMachine) -> SemilinearSet:
     """Semilinear set of letter-count vectors (letters in sorted order)
     of the language, via Hilbert-basis re-expression of side conditions."""
-    pa = build_phase_automaton(to_one_reversal(m))
+    pa = build_phase_automaton(m)
     weight, dims = _weight_counters_letters(pa, per_letter=True)
     k = pa.k
     nlet = len(pa.alphabet)

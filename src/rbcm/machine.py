@@ -64,7 +64,7 @@ class CounterMachine:
         return "".join([POS if c > 0 else ZERO for c in counters])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     state: object
     consumed: int        # number of input letters read so far

@@ -21,6 +21,11 @@ every remaining one, on its own semilinear-set algebra whose `pairwise_dedup`
 compares every component with every other: the reference for
 `decide._parikh_paths` and `decide.sl_dedup`, results and order alike.
 
+`phase_automaton_reference` is the phase automaton built the eager way:
+the whole one-reversal split `to_one_reversal(m)` written out first, then
+explored over a scan of its guard buckets: the reference for
+`decide.build_phase_automaton`, nodes and edge order alike.
+
 `fm_feasible` is Fourier-Motzkin elimination, the reference for
 `decide.rational_feasible`; `stay_cycles_terminate` enumerates the simple
 stay cycles and decides their cone with it, the reference for
@@ -318,6 +323,69 @@ def _reach_in_order(seeds, edges):
                 seen[v] = None
                 work.append(v)
     return seen
+
+
+def phase_automaton_reference(m):
+    """The phase automaton of `to_one_reversal(m)`: every transition of
+    the split is indexed, and each node scans the guard buckets of its
+    state and symbol for the one its modes match."""
+    from rbcm.decide import AT_EOT, READING, PhaseAutomaton, PhaseEdge, to_one_reversal
+    m = to_one_reversal(m)
+    idx = {}
+    for t in m.transitions:
+        idx.setdefault((t.src, t.symbol), {}).setdefault(t.guard, []).append(t)
+    k = m.k
+
+    def matches(guard, modes):
+        return all((g == ZERO) == (mo in "01") for g, mo in zip(guard, modes))
+
+    def mode_options(mo, delta):
+        if delta == 0:
+            return [mo]
+        if delta == 1:
+            return ["u"] if mo in "0u" else []
+        return ["d", "1"] if mo in "ud" else []
+
+    init = (m.initial, "0" * k, READING, None)
+    nodes, edges, work = {init}, [], [init]
+    while work:
+        node = work.pop()
+        q, modes, phase, pending = node
+
+        def add_edge(dst, letter, deltas):
+            if dst not in nodes:
+                nodes.add(dst)
+                work.append(dst)
+            edges.append(PhaseEdge(
+                len(edges), node, dst, letter,
+                tuple(1 if d == 1 else 0 for d in deltas),
+                tuple(1 if d == -1 else 0 for d in deltas)))
+
+        for sym in (m.alphabet if phase == READING else (EOT,)):
+            if pending is not None and sym != pending:
+                continue
+            for guard, ts in idx.get((q, sym), {}).items():
+                if not matches(guard, modes):
+                    continue
+                for t in ts:
+                    opts = [mode_options(mo, d) for mo, d in zip(modes, t.deltas)]
+                    for newmodes in itertools.product(*opts):
+                        nm = "".join(newmodes)
+                        if phase != READING:
+                            add_edge((t.dst, nm, AT_EOT, None), None, t.deltas)
+                        elif t.move == RIGHT:
+                            add_edge((t.dst, nm, READING, None), sym, t.deltas)
+                        else:
+                            add_edge((t.dst, nm, READING, sym), None, t.deltas)
+        if phase == READING and pending is None:
+            add_edge((q, modes, AT_EOT, None), None, (0,) * k)
+    accepting = {n for n in nodes if n[2] == AT_EOT and n[0] in m.finals}
+    pairs = [(e.src, e.dst) for e in edges]
+    reach = _reach_in_order([init], pairs)
+    co = _reach_in_order([n for n in reach if n in accepting], [(v, u) for u, v in pairs])
+    live = {n for n in reach if n in co} | {init}
+    return PhaseAutomaton(k, m.alphabet, live, [e for e in edges if e.src in live and e.dst in live],
+                          init, accepting & live)
 
 
 class OracleBudgetExceeded(Exception):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rbcm
-from rbcm.cli import run_cli
+from rbcm.cli import build_parser, run_cli
 from rbcm.corpus import CATALOG, corpus_text
 from rbcm.fileformat import parse_machine, serialize_machine
 
@@ -179,6 +179,37 @@ def test_usage_errors(mab):
     assert run_cli([]) == 2
     assert run_cli(["member", mab]) == 2
     assert run_cli(["corpus", "get"]) == 2
+
+
+def _fresh_process(argv):
+    """Exit code and stdout of `argv` in a new interpreter."""
+    src = str(Path(rbcm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "rbcm", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_back_to_back_calls_answer_as_fresh_processes(mab, monkeypatch, capsys):
+    """`run_cli` keeps one parser per process: no call may see the
+    options or the failure of the call before it."""
+    calls = [["empty", mab, "--witness", "--json"], ["empty", mab, "--json"],
+             ["member", mab], ["member", mab, "--word", "ab", "--json"],
+             ["--help"], ["empty", "--help"], ["infinite", mab, "--json"]]
+    capsys.readouterr()
+    for argv in calls:
+        code = run_cli(argv)
+        assert (code, capsys.readouterr().out) == _fresh_process(argv), argv
+    assert run_cli(["empty", mab, "--json"]) == 1
+    assert "witness" not in json.loads(capsys.readouterr().out)
+    assert run_cli(["--help"]) == 0
+    from rbcm import decide
+    monkeypatch.setattr(decide, "is_empty", lambda m, want_witness: (True, None))
+    assert run_cli(["empty", mab]) == 0
+    monkeypatch.undo()
+    assert run_cli(["empty", mab]) == 1
+    assert build_parser() is not build_parser()
 
 
 def test_corpus_list_and_get(capsys):

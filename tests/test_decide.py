@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from rbcm.decide import (
     linear_feasible,
     linear,
     member,
-    parikh_edges,
     parikh_image,
     prefix_free_check_machine,
     rational_feasible,
@@ -53,6 +53,7 @@ from oracles import (
     min_scan_paths,
     naive_member,
     ncm_explore_reference,
+    phase_automaton_reference,
     pairwise_dedup,
     window_feasible,
     words_upto,
@@ -91,6 +92,69 @@ def test_to_one_reversal_is_annotation_only_at_budget_one():
     assert out.l == 1
     for w in words_upto("ab", 6):
         assert member(out, w) == naive_member(m, w), w
+
+
+def _phase_pool(corpus_machines):
+    """Budgets 1 to 7, budget-explicit machines among them."""
+    rng = random.Random(12)
+    draws = [rand_machine(rng, l=(1, 2, 3)[i % 3], deterministic=i % 2 == 0)
+             for i in range(150)]
+    # the eager split of two counters at l = 5 takes about a second
+    draws += [rand_machine(rng, l=(5, 7)[i % 2], max_k=1, deterministic=i % 4 < 2)
+              for i in range(40)]
+    neq = load_corpus("M_neq").artifact
+    pool = (corpus_machines + [lr_machine(R) for R in range(1, 11)]
+            + [_three_reversal_machine()] + [replace(neq, l=l) for l in (1, 3, 5)])
+    explicit = [enforce_reversal_control(m) for m in pool + draws[:12]]
+    return pool + draws + explicit + [to_one_reversal(m) for m in pool[-4:]]
+
+
+def test_phase_automaton_matches_split_reference(corpus_machines):
+    """The phase automaton explored straight from the machine is the one
+    the written-out split gives: the same nodes and accepting nodes, and
+    the same edges in the same order, which fixes the elimination order
+    and so every downstream output."""
+    for m in _phase_pool(corpus_machines):
+        got, want = build_phase_automaton(m), phase_automaton_reference(m)
+        assert (got.k, got.initial, got.nodes, got.accepting) == \
+            (want.k, want.initial, want.nodes, want.accepting), m.name
+        assert got.edges == want.edges, m.name
+
+
+def _proof_route_answers(machines, words, pairs):
+    out = []
+    for m, want_witness in machines:
+        out += [is_empty(m, want_witness), is_infinite(m), parikh_image(m)]
+    out += [decide._member_pipeline(m, w) for m, w in words]
+    out += [compare(a, b, "subset") for a, b in pairs]
+    return out
+
+
+def test_decisions_never_build_the_split(corpus_machines, monkeypatch):
+    """With the split and the budget annotation unavailable to `decide`,
+    the proof route answers as it does over the written-out split."""
+    # the witness search is exponential on L_R (8.8 s for L_3)
+    machines = [(m, True) for m in corpus_machines]
+    machines += [(lr_machine(R), False) for R in range(1, 41)]
+    words = [(m, w) for m in corpus_machines for w in words_upto(m.alphabet, 2)]
+    words += [(lr_machine(R), "a" * (R * R) + "b" * R + c)
+              for R in range(1, 11) for c in ("c", "cc")]
+    dets = [m for m in corpus_machines if m.deterministic and m.name != "M_neq"]
+    pairs = [(a, b) for a in dets for b in dets if a.alphabet == b.alphabet]
+    with monkeypatch.context() as eager:
+        eager.setattr(decide, "build_phase_automaton", phase_automaton_reference)
+        want = _proof_route_answers(machines, words, pairs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decision procedure built the one-reversal split")
+
+    monkeypatch.setattr(decide, "to_one_reversal", refuse)
+    monkeypatch.setattr(decide, "annotate_budgets", refuse)
+    assert _proof_route_answers(machines, words, pairs) == want
+    neq = replace(load_corpus("M_neq").artifact, l=7)
+    start = time.perf_counter()
+    assert is_infinite(neq)
+    assert time.perf_counter() - start < 1
 
 
 def test_member_and_enumerate_agree_on_corpus(corpus_machines):
@@ -531,7 +595,7 @@ def _elimination_machines(group, corpus_machines):
     # has 256 edges and its largest image 716 676 components.
     rng = random.Random(5)
     draws = [rand_machine(rng, l=(1, 2, 3)[i % 3]) for i in range(48)]
-    return [m for m in draws if len(build_phase_automaton(to_one_reversal(m)).edges) <= 64]
+    return [m for m in draws if len(build_phase_automaton(m).edges) <= 64]
 
 
 @pytest.mark.parametrize("group", ["corpus", "L_R", "random"])
@@ -539,7 +603,7 @@ def test_parikh_paths_matches_min_scan_oracle(group, corpus_machines):
     machines = _elimination_machines(group, corpus_machines)
     compared = 0
     for m in machines:
-        pa = build_phase_automaton(to_one_reversal(m))
+        pa = build_phase_automaton(m)
         width = len(pa.edges)
         pos = {e.eid: i for i, e in enumerate(pa.edges)}
 
@@ -551,8 +615,6 @@ def test_parikh_paths_matches_min_scan_oracle(group, corpus_machines):
         for target in sorted(pa.accepting, key=repr):
             for weight, dims in weights:
                 got = _parikh_paths(pa, target, weight, dims)
-                if weight is per_edge:
-                    assert got == parikh_edges(pa, target)
                 try:
                     want = min_scan_paths(pa, target, weight, dims, cap=ORACLE_CAP)
                 except OracleBudgetExceeded:
