@@ -54,6 +54,7 @@ import itertools
 from collections import deque, namedtuple
 from math import gcd
 
+from rbcm.decide import AT_EOT, READING, PhaseAutomaton, PhaseEdge, to_one_reversal
 from rbcm.machine import DIR_DOWN, DIR_NONE, DIR_UP, EOT, POS, RIGHT, STAY, ZERO
 
 
@@ -329,7 +330,6 @@ def phase_automaton_reference(m):
     """The phase automaton of `to_one_reversal(m)`: every transition of
     the split is indexed, and each node scans the guard buckets of its
     state and symbol for the one its modes match."""
-    from rbcm.decide import AT_EOT, READING, PhaseAutomaton, PhaseEdge, to_one_reversal
     m = to_one_reversal(m)
     idx = {}
     for t in m.transitions:

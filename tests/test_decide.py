@@ -53,8 +53,8 @@ from oracles import (
     min_scan_paths,
     naive_member,
     ncm_explore_reference,
-    phase_automaton_reference,
     pairwise_dedup,
+    phase_automaton_reference,
     window_feasible,
     words_upto,
 )
@@ -103,10 +103,10 @@ def _phase_pool(corpus_machines):
     draws += [rand_machine(rng, l=(5, 7)[i % 2], max_k=1, deterministic=i % 4 < 2)
               for i in range(40)]
     neq = load_corpus("M_neq").artifact
-    pool = (corpus_machines + [lr_machine(R) for R in range(1, 11)]
-            + [_three_reversal_machine()] + [replace(neq, l=l) for l in (1, 3, 5)])
+    split = [_three_reversal_machine()] + [replace(neq, l=l) for l in (1, 3, 5)]
+    pool = corpus_machines + [lr_machine(R) for R in range(1, 11)] + split
     explicit = [enforce_reversal_control(m) for m in pool + draws[:12]]
-    return pool + draws + explicit + [to_one_reversal(m) for m in pool[-4:]]
+    return pool + draws + explicit + [to_one_reversal(m) for m in split]
 
 
 def test_phase_automaton_matches_split_reference(corpus_machines):
