@@ -38,24 +38,31 @@ def _check_alphabets(a, b):
 
 
 def intersect_regular(m: CounterMachine, d: Dfa) -> CounterMachine:
-    """Machine for L(m) restricted to the DFA's language."""
+    """Machine for L(m) restricted to the DFA's language.  Only the
+    (state, DFA state) pairs reachable from the initial pair are built;
+    each pair keeps its state's transitions in the machine's order."""
     _check_alphabets(m.alphabet, d.alphabet)
     problems = validate_dfa(d)
     if problems:
         raise PreconditionViolated("; ".join(problems))
-    transitions = []
+    by_src = {}
     for t in m.transitions:
-        if t.move == RIGHT:
-            for s in d.states:
-                transitions.append(replace(
-                    t, src=(t.src, s), dst=(t.dst, d.delta[(s, t.symbol)])))
-        else:
-            for s in d.states:
-                transitions.append(replace(t, src=(t.src, s), dst=(t.dst, s)))
+        by_src.setdefault(t.src, []).append(t)
+    init = (m.initial, d.initial)
+    seen = {init}
+    work = [init]
+    transitions = []
+    while work:
+        q, s = src = work.pop()
+        for t in by_src.get(q, ()):
+            dst = (t.dst, d.delta[s, t.symbol] if t.move == RIGHT else s)
+            transitions.append(Transition(src, t.symbol, t.guard, dst, t.move, t.deltas, t.output))
+            if dst not in seen:
+                seen.add(dst)
+                work.append(dst)
     finals = {(q, s) for q in m.finals for s in d.finals}
     return build_machine(
-        m.name + "_x_dfa", m.k, m.l, m.alphabet,
-        (m.initial, d.initial), finals, transitions,
+        m.name + "_x_dfa", m.k, m.l, m.alphabet, init, finals, transitions,
         marked=m.marked, deterministic=m.deterministic,
         budget_explicit=m.budget_explicit)
 

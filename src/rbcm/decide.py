@@ -681,16 +681,14 @@ def _ncm_explore(m: CounterMachine, targets, cap):
     node is an integer id for the prefix read so far and the lookahead
     is the next letter or EOT; children are visited in alphabet order.
 
-    No verdict of `member` or `enumerate_words` depends on the budget.
-    A word is reported accepted only with an accepting run in hand, and
-    once the budget runs out every target not accepted is reported
-    undecided, which those callers settle by a larger cap and the exact
-    emptiness pipeline on the word product.  The one place the budget
-    still decides an outcome is `_search_witness`'s `cap *= 4` loop: it
-    returns the shortest word accepted before the budget ran out, and it
-    never ends when the budget runs out before any word is accepted.
-    (`_probe_witness` may also find fewer words, but it is only a
-    shortcut: a miss sends `is_empty` on to the proof route.)
+    No outcome depends on the budget.  A word is reported accepted only
+    with an accepting run in hand, and once the budget runs out every
+    target not accepted is reported undecided, which `member` and
+    `enumerate_words` settle by a larger cap and the exact emptiness
+    pipeline on the word product.  `_probe_witness` may find fewer words,
+    but it is only a shortcut: a miss sends `is_empty` on to the proof
+    route and `prefix_free_check_machine` on to its product, so at most
+    the witness word changes, never a verdict.
     """
     child = {}           # (node, letter) -> node; node 0 is the empty word
     word_at = {}         # target node -> its word
@@ -760,30 +758,19 @@ def _ncm_explore(m: CounterMachine, targets, cap):
     return {word_at[node] for node in accepted}, undecided
 
 
-def _nonempty_feasible(m: CounterMachine):
-    """(feasible, letter_total_hint) via the phase abstraction."""
-    pa = build_phase_automaton(m)
-    if not pa.accepting:
-        return False, None
+def _nonempty_feasible(pa: PhaseAutomaton) -> bool:
+    """True iff some path to an accepting node meets its end-mode rows:
+    some linear set of the path's Parikh image has feasible multipliers."""
     weight, dims = _weight_counters_letters(pa, per_letter=False)
-    best = None
-    for node in sorted(pa.accepting, key=repr):
-        modes = node[1]
-        cons = _end_mode_constraints(modes, pa.k, dims)
-        for comp in _parikh_paths(pa, node, weight, dims):
-            sol = linear_feasible(comp, cons)
-            if sol is not None:
-                total = realize(comp, sol)[-1]
-                if best is None or total < best:
-                    best = total
-    return best is not None, best
+    return any(linear_feasible(comp, _end_mode_constraints(node[1], pa.k, dims)) is not None
+               for node in sorted(pa.accepting, key=repr)
+               for comp in _parikh_paths(pa, node, weight, dims))
 
 
 def _member_pipeline(m: CounterMachine, word: str) -> bool:
     from .constructions import intersect_regular
-    prod = intersect_regular(m, word_dfa(word, m.alphabet))
-    feasible, _ = _nonempty_feasible(prod)
-    return feasible
+    return _nonempty_feasible(build_phase_automaton(
+        intersect_regular(m, word_dfa(word, m.alphabet))))
 
 
 def member(m: CounterMachine, word: str) -> bool:
@@ -825,21 +812,128 @@ def enumerate_words(m: CounterMachine, max_len: int) -> list:
 # emptiness, infinity, comparisons
 
 
-def _search_witness(m: CounterMachine, max_len: int) -> str:
-    if m.deterministic:
-        for w in _words_upto(m.alphabet, max_len):
-            if run_deterministic(m, w).verdict == "accept":
-                return w
-        raise AssertionError("witness promised but not found")
-    cap = max_len + 16
-    words = list(_words_upto(m.alphabet, max_len))
-    while True:
-        accepted, undecided = _ncm_explore(m, words, cap)
-        if accepted:
-            return min(accepted, key=lambda w: (len(w), w))
-        if not undecided:
-            raise AssertionError("witness promised but not found")
-        cap *= 4
+def _stray_component(initial, edges):
+    """The nodes of the first weakly connected component of `edges`, in
+    edge order, that misses `initial`; None when every edge meets it."""
+    links = [(e.src, e.dst) for e in edges]
+    links += [(v, u) for u, v in links]
+    near = _reachable([initial], links)
+    for u, _ in links:
+        if u not in near:
+            return _reachable([u], links)
+    return None
+
+
+def _chains(cols, ends):
+    """`cols` cut into maximal chains whose inner nodes have one edge in
+    and one out and are not in `ends`, in edge order.  A cycle of such
+    nodes touches no other edge, so it can never join a path from the
+    initial node, and it is left out."""
+    ins, outs = {}, {}
+    for e in cols:
+        ins.setdefault(e.dst, []).append(e)
+        outs.setdefault(e.src, []).append(e)
+
+    def inner(v):
+        return v not in ends and len(ins.get(v, ())) == 1 and len(outs.get(v, ())) == 1
+
+    chains = []
+    for e in cols:
+        if inner(e.src):
+            continue
+        chain = [e]
+        while inner(chain[-1].dst):
+            chain.append(outs[chain[-1].dst][0])
+        chains.append(chain)
+    return chains
+
+
+def _flow_counts(pa: PhaseAutomaton, target):
+    """(edge, count) pairs, count >= 1, of a path from the initial node
+    to `target` that meets the target's end-mode rows, or None when there
+    is none.
+
+    One integer variable per edge, solved by `_integer_point`: at every
+    node in - out = [v = target] - [v = initial], and each row of
+    `_end_mode_constraints` over the edges' increments and decrements
+    (Verma, Seidl and Schwentick, CADE 2005).  Only edges from which
+    `target` is reachable take part, and the edges of a chain through
+    nodes of one edge in and one out share one variable, since
+    conservation makes their counts equal.  Connectivity is lazy.  When
+    the used edges leave a weakly connected component C that misses the
+    initial node, the search branches: either no edge touching C is used
+    (their columns are dropped), or some edge entering C is (one >= 1
+    row).  Both exclude the point found, and no branch meets the same C
+    again, so the search ends.
+    """
+    ends = _end_mode_constraints(target[1], pa.k, 2 * pa.k)
+    co = _reachable([target], [(e.dst, e.src) for e in pa.edges])
+    branches = [([e for e in pa.edges if e.dst in co], ())]  # (columns, edge-id sets used >= once)
+    while branches:
+        cols, entries = branches.pop()
+        chains = _chains(cols, (pa.initial, target))
+        n = len(chains)
+        at = {pa.initial: [0] * n, target: [0] * n}
+        for j, chain in enumerate(chains):
+            at.setdefault(chain[0].src, [0] * n)[j] -= 1
+            at.setdefault(chain[-1].dst, [0] * n)[j] += 1
+        eqs = [(row, (v == target) - (v == pa.initial)) for v, row in at.items()]
+        ges = [([int(any(e.eid in entry for e in chain)) for chain in chains], 1)
+               for entry in entries]
+        for coeffs, op, rhs in ends:
+            row = [sum(sum(map(operator.mul, coeffs, e.incs + e.decs)) for e in chain)
+                   for chain in chains]
+            (eqs if op == "==" else ges).append((row, rhs))
+        x = _integer_point(eqs, ges, n)
+        if x is None:
+            continue
+        used = [(e, c) for chain, c in zip(chains, x) if c for e in chain]
+        stray = _stray_component(pa.initial, [e for e, _ in used])
+        if stray is None:
+            return used
+        entering = frozenset(e.eid for e in cols if e.src not in stray and e.dst in stray)
+        if entering:
+            branches.append((cols, entries + (entering,)))
+        branches.append(([e for e in cols if e.src not in stray and e.dst not in stray],
+                         entries))
+    return None
+
+
+def _euler_word(initial, used) -> str:
+    """The letters along an Euler path from `initial` that takes each
+    edge as often as its count (Hierholzer's algorithm, linear in the
+    path's length).  Modes only move forward, so every order of the edges
+    that forms a path is a run: each sub-counter rises before it falls,
+    stays >= 1 while it falls (its end row leaves it >= 1, or one
+    decrement still to come into Z1), and is 0 in Z1."""
+    outs = {}
+    for e, c in used:
+        outs.setdefault(e.src, []).append([e, c])
+    stack, path = [(initial, None)], []
+    while stack:
+        v, via = stack[-1]
+        out = outs.get(v)
+        if out:
+            slot = out[-1]
+            slot[1] -= 1
+            if not slot[1]:
+                out.pop()
+            stack.append((slot[0].dst, slot[0]))
+        else:
+            stack.pop()
+            if via is not None:
+                path.append(via)
+    return "".join(e.letter for e in reversed(path) if e.letter is not None)
+
+
+def _flow_witness(pa: PhaseAutomaton):
+    """A word read along a path to the first accepting node, in repr
+    order, whose edge counts `_flow_counts` finds; None if there is none."""
+    for target in sorted(pa.accepting, key=repr):
+        used = _flow_counts(pa, target)
+        if used is not None:
+            return _euler_word(pa.initial, used)
+    return None
 
 
 def _probe_witness(m: CounterMachine):
@@ -865,19 +959,26 @@ def _verified(m: CounterMachine, witness: str) -> str:
 def is_empty(m: CounterMachine, want_witness: bool = True):
     """(True, None) for an empty language, else (False, witness word).
 
-    The witness is found by a search bounded by the letter total of a
-    feasible Parikh vector and re-verified by simulation.
+    The verdict comes from a short-word probe or from integer feasibility
+    over the Parikh image of the phase automaton's paths.  Past the probe,
+    the witness is read off edge counts: an integer flow to an accepting
+    node that meets its end-mode rows, walked as an Euler path.  Every
+    witness is re-verified by simulation; past the probe's six letters it
+    need not be a shortest word.
     """
     probe = _probe_witness(m)
     if probe is not None:
         witness = _verified(m, probe[0])
         return False, (witness if want_witness else None)
-    feasible, hint = _nonempty_feasible(m)
-    if not feasible:
+    pa = build_phase_automaton(m)
+    if not _nonempty_feasible(pa):
         return True, None
     if not want_witness:
         return False, None
-    return False, _verified(m, _search_witness(m, hint))
+    witness = _flow_witness(pa)
+    if witness is None:
+        raise AssertionError("a path is feasible, but no edge counts reach an accepting node")
+    return False, _verified(m, witness)
 
 
 def is_infinite(m: CounterMachine) -> bool:

@@ -58,7 +58,7 @@ from oracles import (
     window_feasible,
     words_upto,
 )
-from randgen import eot_machine, lr_machine, rand_machine
+from randgen import eot_machine, lr_machine, machine_pool, rand_machine
 
 
 def _three_reversal_machine():
@@ -133,9 +133,8 @@ def _proof_route_answers(machines, words, pairs):
 def test_decisions_never_build_the_split(corpus_machines, monkeypatch):
     """With the split and the budget annotation unavailable to `decide`,
     the proof route answers as it does over the written-out split."""
-    # the witness search is exponential on L_R (8.8 s for L_3)
     machines = [(m, True) for m in corpus_machines]
-    machines += [(lr_machine(R), False) for R in range(1, 41)]
+    machines += [(lr_machine(R), True) for R in range(1, 41)]
     words = [(m, w) for m in corpus_machines for w in words_upto(m.alphabet, 2)]
     words += [(lr_machine(R), "a" * (R * R) + "b" * R + c)
               for R in range(1, 11) for c in ("c", "cc")]
@@ -155,6 +154,49 @@ def test_decisions_never_build_the_split(corpus_machines, monkeypatch):
     start = time.perf_counter()
     assert is_infinite(neq)
     assert time.perf_counter() - start < 1
+
+
+def test_flow_witness_reads_l_r_words():
+    """Past the probe's six letters the witness comes from edge counts:
+    on L_R it is a word a^(R*R*p) b^(R*p) c^p that the oracle accepts."""
+    for R in range(1, 13):
+        m = lr_machine(R)
+        start = time.perf_counter()
+        empty, w = is_empty(m)
+        elapsed = time.perf_counter() - start
+        p = w.count("c")
+        assert not empty and p >= 1, (R, w)
+        assert w == "a" * (R * R * p) + "b" * (R * p) + "c" * p, (R, w)
+        assert naive_member(m, w), R
+        if R == 4:
+            assert elapsed < 1, elapsed
+
+
+def test_flow_witness_exists_iff_nonempty(corpus_machines, monkeypatch):
+    """On the criterion-4 pools an Euler path over edge counts exists
+    exactly for the nonempty machines, and its word is accepted; some
+    machines need a connectivity branch to get it."""
+    pool = (list(corpus_machines) + machine_pool(4242, 100, alphabet="ab")
+            + machine_pool(4243, 50, alphabet="ab", deterministic=False)
+            + machine_pool(4244, 50, alphabet="a"))
+    branched = []
+    stray_component = decide._stray_component
+
+    def spy(initial, edges):
+        found = stray_component(initial, edges)
+        branched.append(found is not None)
+        return found
+
+    monkeypatch.setattr(decide, "_stray_component", spy)
+    for m in pool:
+        pa = build_phase_automaton(m)
+        # a probe hit settles the machines whose Parikh image is too large
+        nonempty = _probe_witness(m) is not None or decide._nonempty_feasible(pa)
+        w = decide._flow_witness(pa)
+        assert (w is not None) == nonempty, m.name
+        if w is not None:
+            assert member(m, w) and naive_member(m, w), (m.name, w)
+    assert any(branched)
 
 
 def test_member_and_enumerate_agree_on_corpus(corpus_machines):
@@ -286,29 +328,43 @@ def _run_python(code, *flags, hashseed="0"):
 
 
 def test_parikh_image_is_the_same_in_every_process():
-    code = ("from rbcm.corpus import load_corpus\n"
-            "from rbcm.decide import parikh_image\n"
+    """Phase nodes hold None, whose hash varies between processes: the
+    Parikh image and the flow witnesses, those that need a connectivity
+    branch among them, must not depend on it."""
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from randgen import lr_machine, machine_pool\n"
+            "from rbcm.corpus import load_corpus\n"
+            "from rbcm.decide import _flow_witness, build_phase_automaton, is_empty, parikh_image\n"
             "m = load_corpus('M_neq').artifact\n"
-            "print([(c.base, sorted(c.periods)) for c in parikh_image(m)])\n")
+            "print([(c.base, sorted(c.periods)) for c in parikh_image(m)])\n"
+            "print(is_empty(lr_machine(2)))\n"
+            "pool = machine_pool(4243, 50, alphabet='ab', deterministic=False)\n"
+            "print([_flow_witness(build_phase_automaton(pool[i])) for i in (16, 21, 33)])\n")
     runs = [_run_python(code, hashseed=seed) for seed in ("1", "2")]
     for r in runs:
         assert r.returncode == 0, r.stderr
     assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.splitlines()[1] == "(False, 'aaaabbc')"
 
 
 def test_witness_check_runs_under_optimize():
-    code = ("import rbcm.decide as d\n"
+    """The re-check rejects a witness from the probe (M_ab) and one from
+    edge counts (L_2, seven letters) also under python -O."""
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import rbcm.decide as d\n"
+            "from randgen import lr_machine\n"
             "from rbcm.corpus import load_corpus\n"
             "print('optimized' if not __debug__ else 'debug')\n"
             "d.member = lambda m, w: False\n"
-            "try:\n"
-            "    d.is_empty(load_corpus('M_ab').artifact)\n"
-            "except AssertionError as exc:\n"
-            "    print('rejected:', exc)\n")
+            "for m in (load_corpus('M_ab').artifact, lr_machine(2)):\n"
+            "    try:\n"
+            "        d.is_empty(m)\n"
+            "    except AssertionError as exc:\n"
+            "        print('rejected:', exc)\n")
     r = _run_python(code, "-O")
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[0] == "optimized"
-    assert "rejected: witness" in r.stdout
+    assert r.stdout.splitlines() == ["optimized", "rejected: witness '' is not accepted",
+                                     "rejected: witness 'aaaabbc' is not accepted"]
 
 
 def test_is_empty_detects_empty_languages():
