@@ -8,7 +8,8 @@ by state elimination over a semilinear-set algebra; and settle questions
 (emptiness, membership, infinity, Parikh image) with integer feasibility
 checks over the resulting linear sets.  The written-out split,
 `to_one_reversal`, is an exported construction only: no decision
-procedure builds it.
+procedure builds it.  Emptiness witnesses past the short-word probe come
+from edge counts of the phase automaton (`rbcm.flow`).
 """
 
 from __future__ import annotations
@@ -812,130 +813,6 @@ def enumerate_words(m: CounterMachine, max_len: int) -> list:
 # emptiness, infinity, comparisons
 
 
-def _stray_component(initial, edges):
-    """The nodes of the first weakly connected component of `edges`, in
-    edge order, that misses `initial`; None when every edge meets it."""
-    links = [(e.src, e.dst) for e in edges]
-    links += [(v, u) for u, v in links]
-    near = _reachable([initial], links)
-    for u, _ in links:
-        if u not in near:
-            return _reachable([u], links)
-    return None
-
-
-def _chains(cols, ends):
-    """`cols` cut into maximal chains whose inner nodes have one edge in
-    and one out and are not in `ends`, in edge order.  A cycle of such
-    nodes touches no other edge, so it can never join a path from the
-    initial node, and it is left out."""
-    ins, outs = {}, {}
-    for e in cols:
-        ins.setdefault(e.dst, []).append(e)
-        outs.setdefault(e.src, []).append(e)
-
-    def inner(v):
-        return v not in ends and len(ins.get(v, ())) == 1 and len(outs.get(v, ())) == 1
-
-    chains = []
-    for e in cols:
-        if inner(e.src):
-            continue
-        chain = [e]
-        while inner(chain[-1].dst):
-            chain.append(outs[chain[-1].dst][0])
-        chains.append(chain)
-    return chains
-
-
-def _flow_counts(pa: PhaseAutomaton, target):
-    """(edge, count) pairs, count >= 1, of a path from the initial node
-    to `target` that meets the target's end-mode rows, or None when there
-    is none.
-
-    One integer variable per edge, solved by `_integer_point`: at every
-    node in - out = [v = target] - [v = initial], and each row of
-    `_end_mode_constraints` over the edges' increments and decrements
-    (Verma, Seidl and Schwentick, CADE 2005).  Only edges from which
-    `target` is reachable take part, and the edges of a chain through
-    nodes of one edge in and one out share one variable, since
-    conservation makes their counts equal.  Connectivity is lazy.  When
-    the used edges leave a weakly connected component C that misses the
-    initial node, the search branches: either no edge touching C is used
-    (their columns are dropped), or some edge entering C is (one >= 1
-    row).  Both exclude the point found, and no branch meets the same C
-    again, so the search ends.
-    """
-    ends = _end_mode_constraints(target[1], pa.k, 2 * pa.k)
-    co = _reachable([target], [(e.dst, e.src) for e in pa.edges])
-    branches = [([e for e in pa.edges if e.dst in co], ())]  # (columns, edge-id sets used >= once)
-    while branches:
-        cols, entries = branches.pop()
-        chains = _chains(cols, (pa.initial, target))
-        n = len(chains)
-        at = {pa.initial: [0] * n, target: [0] * n}
-        for j, chain in enumerate(chains):
-            at.setdefault(chain[0].src, [0] * n)[j] -= 1
-            at.setdefault(chain[-1].dst, [0] * n)[j] += 1
-        eqs = [(row, (v == target) - (v == pa.initial)) for v, row in at.items()]
-        ges = [([int(any(e.eid in entry for e in chain)) for chain in chains], 1)
-               for entry in entries]
-        for coeffs, op, rhs in ends:
-            row = [sum(sum(map(operator.mul, coeffs, e.incs + e.decs)) for e in chain)
-                   for chain in chains]
-            (eqs if op == "==" else ges).append((row, rhs))
-        x = _integer_point(eqs, ges, n)
-        if x is None:
-            continue
-        used = [(e, c) for chain, c in zip(chains, x) if c for e in chain]
-        stray = _stray_component(pa.initial, [e for e, _ in used])
-        if stray is None:
-            return used
-        entering = frozenset(e.eid for e in cols if e.src not in stray and e.dst in stray)
-        if entering:
-            branches.append((cols, entries + (entering,)))
-        branches.append(([e for e in cols if e.src not in stray and e.dst not in stray],
-                         entries))
-    return None
-
-
-def _euler_word(initial, used) -> str:
-    """The letters along an Euler path from `initial` that takes each
-    edge as often as its count (Hierholzer's algorithm, linear in the
-    path's length).  Modes only move forward, so every order of the edges
-    that forms a path is a run: each sub-counter rises before it falls,
-    stays >= 1 while it falls (its end row leaves it >= 1, or one
-    decrement still to come into Z1), and is 0 in Z1."""
-    outs = {}
-    for e, c in used:
-        outs.setdefault(e.src, []).append([e, c])
-    stack, path = [(initial, None)], []
-    while stack:
-        v, via = stack[-1]
-        out = outs.get(v)
-        if out:
-            slot = out[-1]
-            slot[1] -= 1
-            if not slot[1]:
-                out.pop()
-            stack.append((slot[0].dst, slot[0]))
-        else:
-            stack.pop()
-            if via is not None:
-                path.append(via)
-    return "".join(e.letter for e in reversed(path) if e.letter is not None)
-
-
-def _flow_witness(pa: PhaseAutomaton):
-    """A word read along a path to the first accepting node, in repr
-    order, whose edge counts `_flow_counts` finds; None if there is none."""
-    for target in sorted(pa.accepting, key=repr):
-        used = _flow_counts(pa, target)
-        if used is not None:
-            return _euler_word(pa.initial, used)
-    return None
-
-
 def _probe_witness(m: CounterMachine):
     """Accepted words of length <= 6 found by one bounded run search,
     shortest first; None if it finds none.
@@ -975,6 +852,7 @@ def is_empty(m: CounterMachine, want_witness: bool = True):
         return True, None
     if not want_witness:
         return False, None
+    from .flow import _flow_witness
     witness = _flow_witness(pa)
     if witness is None:
         raise AssertionError("a path is feasible, but no edge counts reach an accepting node")

@@ -11,7 +11,7 @@ import pytest
 
 from rbcm.constructions import end_marker_behavior, inverse_insertion_ncm
 from rbcm.corpus import CATALOG, load_corpus
-from rbcm import decide
+from rbcm import decide, flow
 from rbcm.fileformat import parse_machine
 from rbcm.decide import (
     _ncm_explore,
@@ -180,19 +180,19 @@ def test_flow_witness_exists_iff_nonempty(corpus_machines, monkeypatch):
             + machine_pool(4243, 50, alphabet="ab", deterministic=False)
             + machine_pool(4244, 50, alphabet="a"))
     branched = []
-    stray_component = decide._stray_component
+    stray_component = flow._stray_component
 
     def spy(initial, edges):
         found = stray_component(initial, edges)
         branched.append(found is not None)
         return found
 
-    monkeypatch.setattr(decide, "_stray_component", spy)
+    monkeypatch.setattr(flow, "_stray_component", spy)
     for m in pool:
         pa = build_phase_automaton(m)
         # a probe hit settles the machines whose Parikh image is too large
         nonempty = _probe_witness(m) is not None or decide._nonempty_feasible(pa)
-        w = decide._flow_witness(pa)
+        w = flow._flow_witness(pa)
         assert (w is not None) == nonempty, m.name
         if w is not None:
             assert member(m, w) and naive_member(m, w), (m.name, w)
@@ -334,7 +334,8 @@ def test_parikh_image_is_the_same_in_every_process():
     code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "from randgen import lr_machine, machine_pool\n"
             "from rbcm.corpus import load_corpus\n"
-            "from rbcm.decide import _flow_witness, build_phase_automaton, is_empty, parikh_image\n"
+            "from rbcm.decide import build_phase_automaton, is_empty, parikh_image\n"
+            "from rbcm.flow import _flow_witness\n"
             "m = load_corpus('M_neq').artifact\n"
             "print([(c.base, sorted(c.periods)) for c in parikh_image(m)])\n"
             "print(is_empty(lr_machine(2)))\n"
