@@ -3,13 +3,14 @@
 The proof route: abstract runs into a finite phase automaton, explored
 straight from the machine, in which each counter is split into
 one-reversal sub-counters whose modes track "still zero / rising /
-falling / back at zero"; compute the Parikh image of its path language
-by state elimination over a semilinear-set algebra; and settle questions
-(emptiness, membership, infinity, Parikh image) with integer feasibility
-checks over the resulting linear sets.  The written-out split,
-`to_one_reversal`, is an exported construction only: no decision
-procedure builds it.  Emptiness witnesses past the short-word probe come
-from edge counts of the phase automaton (`rbcm.flow`).
+falling / back at zero", and settle questions with integer feasibility
+checks.  Emptiness, and with it membership past the run search,
+comparison and prefix-freeness, asks for edge counts of one path to an
+accepting node (`rbcm.flow`), which also spell the witness.  Infinity
+and the Parikh image compute the Parikh image of the path language by
+state elimination over a semilinear-set algebra and check its linear
+sets.  The written-out split, `to_one_reversal`, is an exported
+construction only: no decision procedure builds it.
 """
 
 from __future__ import annotations
@@ -759,19 +760,11 @@ def _ncm_explore(m: CounterMachine, targets, cap):
     return {word_at[node] for node in accepted}, undecided
 
 
-def _nonempty_feasible(pa: PhaseAutomaton) -> bool:
-    """True iff some path to an accepting node meets its end-mode rows:
-    some linear set of the path's Parikh image has feasible multipliers."""
-    weight, dims = _weight_counters_letters(pa, per_letter=False)
-    return any(linear_feasible(comp, _end_mode_constraints(node[1], pa.k, dims)) is not None
-               for node in sorted(pa.accepting, key=repr)
-               for comp in _parikh_paths(pa, node, weight, dims))
-
-
 def _member_pipeline(m: CounterMachine, word: str) -> bool:
     from .constructions import intersect_regular
-    return _nonempty_feasible(build_phase_automaton(
-        intersect_regular(m, word_dfa(word, m.alphabet))))
+    from .flow import _accepting_counts
+    return _accepting_counts(build_phase_automaton(
+        intersect_regular(m, word_dfa(word, m.alphabet)))) is not None
 
 
 def member(m: CounterMachine, word: str) -> bool:
@@ -818,8 +811,8 @@ def _probe_witness(m: CounterMachine):
     shortest first; None if it finds none.
 
     Only a shortcut: a miss proves nothing, a hit is re-verified by the
-    caller.  It keeps the expensive path-algebra route for the cases
-    that actually need a proof of emptiness.
+    caller.  It answers the machines with short words without building
+    the phase automaton, `reversals inf` machines among them.
     """
     words = list(_words_upto(m.alphabet, 6))
     accepted, _ = _ncm_explore(m, words, 6 + 16)
@@ -836,27 +829,26 @@ def _verified(m: CounterMachine, witness: str) -> str:
 def is_empty(m: CounterMachine, want_witness: bool = True):
     """(True, None) for an empty language, else (False, witness word).
 
-    The verdict comes from a short-word probe or from integer feasibility
-    over the Parikh image of the phase automaton's paths.  Past the probe,
-    the witness is read off edge counts: an integer flow to an accepting
-    node that meets its end-mode rows, walked as an Euler path.  Every
-    witness is re-verified by simulation; past the probe's six letters it
-    need not be a shortest word.
+    A short-word probe answers first.  Past it, the verdict comes from
+    edge counts of the phase automaton: an integer flow to an accepting
+    node that meets its end-mode rows, tried node by node in repr order.
+    The first flow found is walked as an Euler path for the witness, so
+    a witness costs no second solve.  Every witness is re-verified by
+    simulation; past the probe's six letters it need not be a shortest
+    word.  An "empty" verdict has no run-time check.
     """
     probe = _probe_witness(m)
     if probe is not None:
         witness = _verified(m, probe[0])
         return False, (witness if want_witness else None)
+    from .flow import _accepting_counts, _euler_word   # compiled on first use
     pa = build_phase_automaton(m)
-    if not _nonempty_feasible(pa):
+    used = _accepting_counts(pa)
+    if used is None:
         return True, None
     if not want_witness:
         return False, None
-    from .flow import _flow_witness
-    witness = _flow_witness(pa)
-    if witness is None:
-        raise AssertionError("a path is feasible, but no edge counts reach an accepting node")
-    return False, _verified(m, witness)
+    return False, _verified(m, _euler_word(pa.initial, used))
 
 
 def is_infinite(m: CounterMachine) -> bool:

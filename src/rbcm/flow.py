@@ -1,9 +1,11 @@
-"""Emptiness witnesses from edge counts of the phase automaton.
+"""Emptiness verdicts and witnesses from edge counts of the phase automaton.
 
-`decide.is_empty` calls `_flow_witness` once state elimination has found
-the language nonempty and the short-word probe has missed.  Connectivity
-of the used edges is added lazily, and an Euler path over the counts
-spells the word.
+Once the short-word probe has missed, `decide.is_empty` asks
+`_accepting_counts` for an integer flow to an accepting node that meets
+the node's end-mode rows: the language is empty iff there is none.
+Connectivity of the used edges is added lazily, and an Euler path over
+the counts spells the witness.  `decide._member_pipeline` asks the same
+question of a word product.
 """
 
 from __future__ import annotations
@@ -128,11 +130,12 @@ def _euler_word(initial, used) -> str:
     return "".join(e.letter for e in reversed(path) if e.letter is not None)
 
 
-def _flow_witness(pa: PhaseAutomaton):
-    """A word read along a path to the first accepting node, in repr
-    order, whose edge counts `_flow_counts` finds; None if there is none."""
+def _accepting_counts(pa: PhaseAutomaton):
+    """The edge counts `_flow_counts` finds for the first accepting node,
+    in repr order, that has any; None iff no path to an accepting node
+    meets its end-mode rows, that is, iff the language is empty."""
     for target in sorted(pa.accepting, key=repr):
         used = _flow_counts(pa, target)
         if used is not None:
-            return _euler_word(pa.initial, used)
+            return used
     return None

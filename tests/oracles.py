@@ -21,6 +21,12 @@ every remaining one, on its own semilinear-set algebra whose `pairwise_dedup`
 compares every component with every other: the reference for
 `decide._parikh_paths` and `decide.sl_dedup`, results and order alike.
 
+`elimination_nonempty` is emptiness by state elimination, the route
+`decide.is_empty` took before edge counts: integer feasibility of the
+end-mode rows over each linear set of `decide._parikh_paths`, whose
+reference is `min_scan_paths`.  It is the reference for the edge-count
+verdicts of `flow._accepting_counts`.
+
 `phase_automaton_reference` is the phase automaton built the eager way:
 the whole one-reversal split `to_one_reversal(m)` written out first, then
 explored over a scan of its guard buckets: the reference for
@@ -54,7 +60,10 @@ import itertools
 from collections import deque, namedtuple
 from math import gcd
 
-from rbcm.decide import AT_EOT, READING, PhaseAutomaton, PhaseEdge, to_one_reversal
+from rbcm.decide import (
+    AT_EOT, READING, PhaseAutomaton, PhaseEdge, _end_mode_constraints, _parikh_paths,
+    _weight_counters_letters, linear_feasible, to_one_reversal,
+)
 from rbcm.machine import DIR_DOWN, DIR_NONE, DIR_UP, EOT, POS, RIGHT, STAY, ZERO
 
 
@@ -449,6 +458,15 @@ def min_scan_paths(pa, target, weight, dims, cap=None):
         for v in outs:
             incoming.get(v, {}).pop(x, None)
     return graph.get(src, {}).get(snk, ())
+
+
+def elimination_nonempty(pa):
+    """True iff some path to an accepting node meets its end-mode rows:
+    some linear set of the path's Parikh image has feasible multipliers."""
+    weight, dims = _weight_counters_letters(pa, per_letter=False)
+    return any(linear_feasible(comp, _end_mode_constraints(node[1], pa.k, dims)) is not None
+               for node in sorted(pa.accepting, key=repr)
+               for comp in _parikh_paths(pa, node, weight, dims))
 
 
 def _combine(p, n, j):

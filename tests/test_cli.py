@@ -139,14 +139,15 @@ def test_internal_error_is_not_a_false_verdict(mab, monkeypatch, capsys, exc):
 
 
 def test_witness_solver_failure_is_an_internal_error(tmp_path, monkeypatch, capsys):
-    """L_2's shortest word has seven letters, past the probe: when the edge
-    counts find no path, `empty --witness` fails loudly, not "empty"."""
+    """L_2's shortest word has seven letters, past the probe: when the
+    Euler walk over the edge counts spells a word the machine rejects,
+    `empty --witness` fails loudly, not with a false witness."""
     from rbcm import flow
     from randgen import lr_machine
     f = tmp_path / "L_2.mach"
     f.write_text(serialize_machine(lr_machine(2)))
     assert run_cli(["empty", str(f), "--witness"]) == 1
-    monkeypatch.setattr(flow, "_flow_counts", lambda pa, target: None)
+    monkeypatch.setattr(flow, "_euler_word", lambda initial, used: "aaaabbcc")
     assert run_cli(["empty", str(f)]) == 1
     assert run_cli(["empty", str(f), "--witness"]) == 5
     assert "internal error: AssertionError" in capsys.readouterr().err

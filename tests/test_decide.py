@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from rbcm.constructions import end_marker_behavior, inverse_insertion_ncm
+from rbcm.constructions import (
+    boolean_dcm, end_marker_behavior, inverse_insertion_ncm, product_intersection,
+)
 from rbcm.corpus import CATALOG, load_corpus
 from rbcm import decide, flow
 from rbcm.fileformat import parse_machine
@@ -48,6 +50,7 @@ from rbcm.regular import UnaryDFA
 
 from oracles import (
     OracleBudgetExceeded,
+    elimination_nonempty,
     eot_accepts,
     fm_feasible,
     min_scan_paths,
@@ -156,6 +159,75 @@ def test_decisions_never_build_the_split(corpus_machines, monkeypatch):
     assert time.perf_counter() - start < 1
 
 
+def _emptiness_answers(corpus, machines, pairs, words):
+    out = [is_empty(m, want_witness) for m in machines for want_witness in (True, False)]
+    out += [compare(a, b, mode) for a, b in pairs for mode in ("subset", "equal")]
+    out += [prefix_free_check_machine(m) for m in corpus]
+    out += [decide._member_pipeline(m, w) for m, w in words]
+    return out
+
+
+def test_emptiness_never_runs_state_elimination(corpus_machines, monkeypatch):
+    """Emptiness, comparison, prefix-freeness and the membership fallback
+    answer from edge counts alone: with state elimination unavailable to
+    `decide`, they answer as before."""
+    machines = corpus_machines + [lr_machine(R) for R in range(1, 41)]
+    dets = [m for m in corpus_machines if m.deterministic]
+    pairs = [(a, b) for a in dets for b in dets if a.alphabet == b.alphabet]
+    assert any(a.name == b.name == "M_neq" for a, b in pairs)
+    words = [(lr_machine(R), "a" * (R * R) + "b" * R + c)
+             for R in range(1, 21) for c in ("c", "cc")]
+    want = _emptiness_answers(corpus_machines, machines, pairs, words)
+    assert want[-2:] == [True, False]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an emptiness check ran state elimination")
+
+    monkeypatch.setattr(decide, "_parikh_paths", refuse)
+    assert _emptiness_answers(corpus_machines, machines, pairs, words) == want
+
+
+def test_is_empty_verdicts_match_elimination_oracle(corpus_machines, monkeypatch):
+    """Past the probe, the edge-count verdict is state elimination's on
+    the corpus, L_R for R <= 200, the criterion-1 and criterion-4 pools,
+    the 44 draws before draw 44, and the products that `compare` builds
+    over the deterministic corpus pairs, whose empty verdicts need the
+    back-at-zero rows.  The last machine of pool 4243 is left out:
+    elimination does not finish on it."""
+    rng = random.Random(5)
+    dets = [m for m in corpus_machines if m.deterministic]
+    pool = (corpus_machines + [lr_machine(R) for R in range(1, 201)]
+            + machine_pool(9001, 80, alphabet="ab") + machine_pool(9002, 20, alphabet="a")
+            + machine_pool(4242, 100, alphabet="ab")
+            + machine_pool(4243, 50, alphabet="ab", deterministic=False)[:49]
+            + machine_pool(4244, 50, alphabet="a")
+            + [rand_machine(rng, l=(1, 2, 3)[i % 3]) for i in range(44)]
+            + [product_intersection(a, boolean_dcm(b, None, "not"))
+               for a in dets for b in dets if a.alphabet == b.alphabet])
+    monkeypatch.setattr(decide, "_probe_witness", lambda m: None)
+    empty = 0
+    for m in pool:
+        verdict, _ = is_empty(m, want_witness=False)
+        assert verdict == (not elimination_nonempty(build_phase_automaton(m))), m.name
+        empty += verdict
+    assert 0 < empty < len(pool)
+
+
+def test_emptiness_is_fast_where_elimination_is_not(monkeypatch):
+    """`compare(M_neq, M_neq, 'equal')` took 2.3 s by state elimination;
+    on the last machine of pool 4243, with the probe missing, elimination
+    did not finish in 5 s."""
+    neq = load_corpus("M_neq").artifact
+    start = time.perf_counter()
+    assert compare(neq, neq, "equal") == (True, None)
+    assert time.perf_counter() - start < 1
+    m = machine_pool(4243, 50, alphabet="ab", deterministic=False)[49]
+    monkeypatch.setattr(decide, "_probe_witness", lambda m: None)
+    start = time.perf_counter()
+    assert is_empty(m, want_witness=False) == (False, None)
+    assert time.perf_counter() - start < 1
+
+
 def test_flow_witness_reads_l_r_words():
     """Past the probe's six letters the witness comes from edge counts:
     on L_R it is a word a^(R*R*p) b^(R*p) c^p that the oracle accepts."""
@@ -172,10 +244,16 @@ def test_flow_witness_reads_l_r_words():
             assert elapsed < 1, elapsed
 
 
+def _flow_witness(pa):
+    used = flow._accepting_counts(pa)
+    return None if used is None else flow._euler_word(pa.initial, used)
+
+
 def test_flow_witness_exists_iff_nonempty(corpus_machines, monkeypatch):
     """On the criterion-4 pools an Euler path over edge counts exists
-    exactly for the nonempty machines, and its word is accepted; some
-    machines need a connectivity branch to get it."""
+    exactly for the machines that state elimination finds nonempty, and
+    its word is accepted; some machines need a connectivity branch to get
+    it."""
     pool = (list(corpus_machines) + machine_pool(4242, 100, alphabet="ab")
             + machine_pool(4243, 50, alphabet="ab", deterministic=False)
             + machine_pool(4244, 50, alphabet="a"))
@@ -191,8 +269,8 @@ def test_flow_witness_exists_iff_nonempty(corpus_machines, monkeypatch):
     for m in pool:
         pa = build_phase_automaton(m)
         # a probe hit settles the machines whose Parikh image is too large
-        nonempty = _probe_witness(m) is not None or decide._nonempty_feasible(pa)
-        w = flow._flow_witness(pa)
+        nonempty = _probe_witness(m) is not None or elimination_nonempty(pa)
+        w = _flow_witness(pa)
         assert (w is not None) == nonempty, m.name
         if w is not None:
             assert member(m, w) and naive_member(m, w), (m.name, w)
@@ -335,12 +413,13 @@ def test_parikh_image_is_the_same_in_every_process():
             "from randgen import lr_machine, machine_pool\n"
             "from rbcm.corpus import load_corpus\n"
             "from rbcm.decide import build_phase_automaton, is_empty, parikh_image\n"
-            "from rbcm.flow import _flow_witness\n"
+            "from rbcm.flow import _accepting_counts, _euler_word\n"
             "m = load_corpus('M_neq').artifact\n"
             "print([(c.base, sorted(c.periods)) for c in parikh_image(m)])\n"
             "print(is_empty(lr_machine(2)))\n"
             "pool = machine_pool(4243, 50, alphabet='ab', deterministic=False)\n"
-            "print([_flow_witness(build_phase_automaton(pool[i])) for i in (16, 21, 33)])\n")
+            "pas = [build_phase_automaton(pool[i]) for i in (16, 21, 33)]\n"
+            "print([_euler_word(pa.initial, _accepting_counts(pa)) for pa in pas])\n")
     runs = [_run_python(code, hashseed=seed) for seed in ("1", "2")]
     for r in runs:
         assert r.returncode == 0, r.stderr
