@@ -110,65 +110,38 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
                     s2 = [t for t in t2s if t.move == STAY]
                     r2 = [t for t in t2s if t.move == RIGHT]
                     guard = g1 + g2
-                    if det:
-                        if s1:
-                            t = s1[0]
-                            emit2(sym, guard,
-                                  (t.dst, q2, t.dst in F1, f2),
-                                  STAY, t.deltas + z2)
-                        elif s2:
-                            t = s2[0]
-                            emit2(sym, guard,
-                                  (q1, t.dst, f1, t.dst in F2),
-                                  STAY, z1 + t.deltas)
-                        elif r1 and r2:
-                            ta, tb = r1[0], r2[0]
+                    for t in s1:
+                        emit2(sym, guard, (t.dst, q2, t.dst in F1, f2),
+                              STAY, t.deltas + z2)
+                    if det and s1:
+                        continue    # deterministic: component one stays first
+                    for t in s2:
+                        emit2(sym, guard, (q1, t.dst, f1, t.dst in F2),
+                              STAY, z1 + t.deltas)
+                    for ta in r1:
+                        for tb in r2:
                             emit2(sym, guard,
                                   (ta.dst, tb.dst, ta.dst in F1, tb.dst in F2),
                                   RIGHT, ta.deltas + tb.deltas)
-                    else:
-                        for t in s1:
-                            emit2(sym, guard, (t.dst, q2, t.dst in F1, f2),
-                                  STAY, t.deltas + z2)
-                        for t in s2:
-                            emit2(sym, guard, (q1, t.dst, f1, t.dst in F2),
-                                  STAY, z1 + t.deltas)
-                        for ta in r1:
-                            for tb in r2:
-                                emit2(sym, guard,
-                                      (ta.dst, tb.dst, ta.dst in F1, tb.dst in F2),
-                                      RIGHT, ta.deltas + tb.deltas)
         if has_eot:
+            # A deterministic product schedules the component that still
+            # needs to accept: a component that already has its flag may
+            # loop forever without starving the other.
+            run1 = not det or not f1
+            run2 = not det or (f1 and not f2)
             for g1 in all_guards(k1):
-                t1s = i1.get((q1, EOT), {}).get(g1, ())
+                t1s = i1.get((q1, EOT), {}).get(g1, ()) if run1 else ()
                 for g2 in all_guards(k2):
-                    t2s = i2.get((q2, EOT), {}).get(g2, ())
+                    t2s = i2.get((q2, EOT), {}).get(g2, ()) if run2 else ()
                     guard = g1 + g2
-                    if det:
-                        # Schedule the component that still needs to
-                        # accept: a component that already has its flag
-                        # may loop forever without starving the other.
-                        if not f1:
-                            if t1s:
-                                t = t1s[0]
-                                emit2(EOT, guard,
-                                      (t.dst, q2, f1 or t.dst in F1, f2),
-                                      STAY, t.deltas + z2)
-                        elif not f2:
-                            if t2s:
-                                t = t2s[0]
-                                emit2(EOT, guard,
-                                      (q1, t.dst, f1, f2 or t.dst in F2),
-                                      STAY, z1 + t.deltas)
-                    else:
-                        for t in t1s:
-                            emit2(EOT, guard,
-                                  (t.dst, q2, f1 or t.dst in F1, f2),
-                                  STAY, t.deltas + z2)
-                        for t in t2s:
-                            emit2(EOT, guard,
-                                  (q1, t.dst, f1, f2 or t.dst in F2),
-                                  STAY, z1 + t.deltas)
+                    for t in t1s:
+                        emit2(EOT, guard,
+                              (t.dst, q2, f1 or t.dst in F1, f2),
+                              STAY, t.deltas + z2)
+                    for t in t2s:
+                        emit2(EOT, guard,
+                              (q1, t.dst, f1, f2 or t.dst in F2),
+                              STAY, z1 + t.deltas)
     finals = {s for s in seen if s[2] and s[3]}
     return build_machine(
         f"({m1.name}&{m2.name})", k1 + k2, combine_budgets(m1.l, m2.l),
@@ -801,17 +774,12 @@ def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> Counte
     # pending peek at the current letter.
     transitions = []
     for t in me.transitions:
-        if t.symbol == EOT or t.move == RIGHT:
-            flag_after = lambda fresh: True
-        else:
-            flag_after = lambda fresh: False
-        if t.symbol == EOT:
-            flag_after = lambda fresh: fresh
         for g in range(gaps + 1):
             for fresh in (True, False):
                 transitions.append(replace(
                     t, src=(t.src, "sim", g, fresh),
-                    dst=(t.dst, "sim", g, flag_after(fresh))))
+                    dst=(t.dst, "sim", g,
+                         fresh if t.symbol == EOT else t.move == RIGHT)))
             transitions.append(replace(
                 t, src=(t.src, "gap", g),
                 dst=(t.dst, "sim", g, t.move == RIGHT)))

@@ -6,11 +6,12 @@ one-reversal sub-counters whose modes track "still zero / rising /
 falling / back at zero", and settle questions with integer feasibility
 checks.  Emptiness, and with it membership past the run search,
 comparison and prefix-freeness, asks for edge counts of one path to an
-accepting node (`rbcm.flow`), which also spell the witness.  Infinity
-and the Parikh image compute the Parikh image of the path language by
-state elimination over a semilinear-set algebra and check its linear
-sets.  The written-out split, `to_one_reversal`, is an exported
-construction only: no decision procedure builds it.
+accepting node (`rbcm.flow`), which also spell the witness; no word
+search answers it.  Infinity and the Parikh image compute the Parikh
+image of the path language by state elimination over a semilinear-set
+algebra and check its linear sets.  The written-out split,
+`to_one_reversal`, is an exported construction only: no decision
+procedure builds it.
 """
 
 from __future__ import annotations
@@ -686,11 +687,9 @@ def _ncm_explore(m: CounterMachine, targets, cap):
     No outcome depends on the budget.  A word is reported accepted only
     with an accepting run in hand, and once the budget runs out every
     target not accepted is reported undecided, which `member` and
-    `enumerate_words` settle by a larger cap and the exact emptiness
-    pipeline on the word product.  `_probe_witness` may find fewer words,
-    but it is only a shortcut: a miss sends `is_empty` on to the proof
-    route and `prefix_free_check_machine` on to its product, so at most
-    the witness word changes, never a verdict.
+    `enumerate_words` settle by the exact emptiness pipeline on the word
+    product.  `_probe_witness` may find fewer words, but a miss only sends
+    `prefix_free_check_machine` on to its product, so no verdict changes.
     """
     child = {}           # (node, letter) -> node; node 0 is the empty word
     word_at = {}         # target node -> its word
@@ -769,20 +768,20 @@ def _member_pipeline(m: CounterMachine, word: str) -> bool:
 
 def member(m: CounterMachine, word: str) -> bool:
     """Exact membership.  Deterministic machines run directly; for the
-    rest, a bounded run search settles most words and the emptiness
-    pipeline on the word product settles the remainder."""
+    rest, one run search with counters capped at len(word) + 16 settles
+    most words and the emptiness pipeline on the word product settles
+    the remainder."""
     if not set(word).issubset(m.alphabet):
         return False
     if m.deterministic:
         return run_deterministic(m, word).verdict == "accept"
     if m.l is None:
         raise InfiniteBudget("membership needs a finite reversal budget")
-    for cap in (len(word) + 16, 4 * (len(word) + 16)):
-        accepted, undecided = _ncm_explore(m, {word}, cap)
-        if word in accepted:
-            return True
-        if not undecided:
-            return False
+    accepted, undecided = _ncm_explore(m, {word}, len(word) + 16)
+    if word in accepted:
+        return True
+    if not undecided:
+        return False
     return _member_pipeline(m, word)
 
 
@@ -810,9 +809,8 @@ def _probe_witness(m: CounterMachine):
     """Accepted words of length <= 6 found by one bounded run search,
     shortest first; None if it finds none.
 
-    Only a shortcut: a miss proves nothing, a hit is re-verified by the
-    caller.  It answers the machines with short words without building
-    the phase automaton, `reversals inf` machines among them.
+    The short-word pair search of `prefix_free_check_machine`: a hit
+    spares it the product of m with m.Sigma+, a miss proves nothing.
     """
     words = list(_words_upto(m.alphabet, 6))
     accepted, _ = _ncm_explore(m, words, 6 + 16)
@@ -829,18 +827,14 @@ def _verified(m: CounterMachine, witness: str) -> str:
 def is_empty(m: CounterMachine, want_witness: bool = True):
     """(True, None) for an empty language, else (False, witness word).
 
-    A short-word probe answers first.  Past it, the verdict comes from
-    edge counts of the phase automaton: an integer flow to an accepting
-    node that meets its end-mode rows, tried node by node in repr order.
-    The first flow found is walked as an Euler path for the witness, so
-    a witness costs no second solve.  Every witness is re-verified by
-    simulation; past the probe's six letters it need not be a shortest
-    word.  An "empty" verdict has no run-time check.
+    The verdict comes from edge counts of the phase automaton: an integer
+    flow to an accepting node that meets its end-mode rows, tried node by
+    node in repr order.  The first flow found is walked as an Euler path
+    for the witness, so a witness costs no second solve.  Every witness
+    is re-verified by simulation; it need not be a shortest word.  An
+    "empty" verdict has no run-time check.  A machine without a finite
+    reversal budget raises InfiniteBudget.
     """
-    probe = _probe_witness(m)
-    if probe is not None:
-        witness = _verified(m, probe[0])
-        return False, (witness if want_witness else None)
     from .flow import _accepting_counts, _euler_word   # compiled on first use
     pa = build_phase_automaton(m)
     used = _accepting_counts(pa)
@@ -888,29 +882,16 @@ def parikh_image(m: CounterMachine) -> SemilinearSet:
     for node in sorted(pa.accepting, key=repr):
         cons = _end_mode_constraints(node[1], pa.k, dims)
         for comp in _parikh_paths(pa, node, weight, dims):
-            periods = sorted(comp.periods)
+            periods, eqs, ges = _multiplier_rows(comp, cons)
             if not cons:
                 out.append(linear(letters_of(comp.base),
                                   [letters_of(p) for p in periods]))
                 continue
             # equalities in multiplier space, inequalities get slack vars
-            n = len(periods)
-            nslack = sum(1 for _, op, _ in cons if op != "==")
-            rows = []
-            slack_i = 0
-            for coeffs, op, rhs in cons:
-                row = [sum(cf * pv for cf, pv in zip(coeffs, p)) for p in periods]
-                row += [0] * nslack
-                r = rhs - sum(cf * bv for cf, bv in zip(coeffs, comp.base))
-                if op == ">=":
-                    row[n + slack_i] = -1
-                    slack_i += 1
-                elif op == "<=":
-                    row = [-x for x in row]
-                    row[n + slack_i] = -1
-                    r = -r
-                    slack_i += 1
-                rows.append((tuple(row), r))
+            n, nslack = len(periods), len(ges)
+            rows = [(row + (0,) * nslack, r) for row, r in eqs]
+            rows += [(row + tuple(-1 if j == i else 0 for j in range(nslack)), r)
+                     for i, (row, r) in enumerate(ges)]
             particulars, basis = solve_diophantine(rows, n + nslack)
             per_vecs = set()
             for h in basis:

@@ -1,11 +1,11 @@
 """Emptiness verdicts and witnesses from edge counts of the phase automaton.
 
-Once the short-word probe has missed, `decide.is_empty` asks
-`_accepting_counts` for an integer flow to an accepting node that meets
-the node's end-mode rows: the language is empty iff there is none.
-Connectivity of the used edges is added lazily, and an Euler path over
-the counts spells the witness.  `decide._member_pipeline` asks the same
-question of a word product.
+`decide.is_empty` asks `_accepting_counts` for an integer flow to an
+accepting node that meets the node's end-mode rows: the language is
+empty iff there is none.  It is the only route to an emptiness verdict
+or witness.  Connectivity of the used edges is added lazily, and an
+Euler path over the counts spells the witness.
+`decide._member_pipeline` asks the same question of a word product.
 """
 
 from __future__ import annotations

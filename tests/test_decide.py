@@ -13,6 +13,7 @@ from rbcm.constructions import (
     boolean_dcm, end_marker_behavior, inverse_insertion_ncm, product_intersection,
 )
 from rbcm.corpus import CATALOG, load_corpus
+from rbcm.errors import InfiniteBudget
 from rbcm import decide, flow
 from rbcm.fileformat import parse_machine
 from rbcm.decide import (
@@ -187,11 +188,11 @@ def test_emptiness_never_runs_state_elimination(corpus_machines, monkeypatch):
     assert _emptiness_answers(corpus_machines, machines, pairs, words) == want
 
 
-def test_is_empty_verdicts_match_elimination_oracle(corpus_machines, monkeypatch):
-    """Past the probe, the edge-count verdict is state elimination's on
-    the corpus, L_R for R <= 200, the criterion-1 and criterion-4 pools,
-    the 44 draws before draw 44, and the products that `compare` builds
-    over the deterministic corpus pairs, whose empty verdicts need the
+def test_is_empty_verdicts_match_elimination_oracle(corpus_machines):
+    """The edge-count verdict is state elimination's on the corpus, L_R
+    for R <= 200, the criterion-1 and criterion-4 pools, the 44 draws
+    before draw 44, and the products that `compare` builds over the
+    deterministic corpus pairs, whose empty verdicts need the
     back-at-zero rows.  The last machine of pool 4243 is left out:
     elimination does not finish on it."""
     rng = random.Random(5)
@@ -204,7 +205,6 @@ def test_is_empty_verdicts_match_elimination_oracle(corpus_machines, monkeypatch
             + [rand_machine(rng, l=(1, 2, 3)[i % 3]) for i in range(44)]
             + [product_intersection(a, boolean_dcm(b, None, "not"))
                for a in dets for b in dets if a.alphabet == b.alphabet])
-    monkeypatch.setattr(decide, "_probe_witness", lambda m: None)
     empty = 0
     for m in pool:
         verdict, _ = is_empty(m, want_witness=False)
@@ -213,24 +213,63 @@ def test_is_empty_verdicts_match_elimination_oracle(corpus_machines, monkeypatch
     assert 0 < empty < len(pool)
 
 
-def test_emptiness_is_fast_where_elimination_is_not(monkeypatch):
+def test_emptiness_is_fast_where_elimination_is_not():
     """`compare(M_neq, M_neq, 'equal')` took 2.3 s by state elimination;
-    on the last machine of pool 4243, with the probe missing, elimination
-    did not finish in 5 s."""
+    on the last machine of pool 4243 elimination did not finish in 5 s."""
     neq = load_corpus("M_neq").artifact
     start = time.perf_counter()
     assert compare(neq, neq, "equal") == (True, None)
     assert time.perf_counter() - start < 1
     m = machine_pool(4243, 50, alphabet="ab", deterministic=False)[49]
-    monkeypatch.setattr(decide, "_probe_witness", lambda m: None)
     start = time.perf_counter()
     assert is_empty(m, want_witness=False) == (False, None)
     assert time.perf_counter() - start < 1
 
 
+def test_only_prefix_freeness_runs_the_probe(corpus_machines, monkeypatch):
+    """`is_empty`, `compare` and `member` never run the short-word probe:
+    with it raising, the emptiness verdicts on the corpus and L_R for
+    R <= 40 and the subset verdicts over the deterministic corpus pairs
+    are state elimination's, every witness is accepted, and membership
+    in the nondeterministic corpus machines is the oracle's."""
+    machines = corpus_machines + [lr_machine(R) for R in range(1, 41)]
+    dets = [m for m in corpus_machines if m.deterministic and m.name != "M_neq"]
+    pairs = [(a, b) for a in dets for b in dets if a.alphabet == b.alphabet]
+    want = [not elimination_nonempty(build_phase_automaton(m)) for m in machines]
+    want += [not elimination_nonempty(build_phase_automaton(
+        product_intersection(a, boolean_dcm(b, None, "not")))) for a, b in pairs]
+    assert True in want and False in want
+
+    def refuse(m):
+        raise AssertionError("the short-word probe ran")
+
+    monkeypatch.setattr(decide, "_probe_witness", refuse)
+    got = [is_empty(m) for m in machines]
+    got += [compare(a, b, "subset") for a, b in pairs]
+    assert [verdict for verdict, _ in got] == want
+    for m, (_, w) in zip(machines, got):
+        assert w is None or (member(m, w) and naive_member(m, w)), (m.name, w)
+    for (a, b), (_, w) in zip(pairs, got[len(machines):]):
+        assert w is None or (member(a, w) and not member(b, w)), (a.name, b.name, w)
+    for m in corpus_machines:
+        if not m.deterministic:
+            for w in words_upto(m.alphabet, 4):
+                assert member(m, w) == naive_member(m, w), (m.name, w)
+
+
+def test_emptiness_needs_a_finite_budget():
+    """A `reversals inf` machine has no phase automaton, so emptiness and
+    comparison raise, even where a short word is accepted."""
+    m_ab = replace(load_corpus("M_ab").artifact, l=None)
+    with pytest.raises(InfiniteBudget):
+        is_empty(m_ab)
+    with pytest.raises(InfiniteBudget):
+        compare(m_ab, load_corpus("M_ab1").artifact, "subset")
+
+
 def test_flow_witness_reads_l_r_words():
-    """Past the probe's six letters the witness comes from edge counts:
-    on L_R it is a word a^(R*R*p) b^(R*p) c^p that the oracle accepts."""
+    """The witness comes from edge counts: on L_R it is a word
+    a^(R*R*p) b^(R*p) c^p that the oracle accepts."""
     for R in range(1, 13):
         m = lr_machine(R)
         start = time.perf_counter()
@@ -317,10 +356,8 @@ def test_unbounded_reversing_stay_loop_is_explored_exactly():
         w for w in words if run_deterministic(m, w).verdict == "accept"]
 
 
-def test_probe_is_one_bounded_search(monkeypatch):
-    """Accepts only 'a', after a stay run that lifts the counter to 25,
-    past the probe's cap: the probe misses the word without settling it
-    with `member`, enumeration settles it, and emptiness proves it."""
+def _late_machine():
+    """Accepts only 'a', after a stay run that lifts the counter to 25."""
     n = 25
     ts = [Transition("s0", "a", "z", "c0", RIGHT, (0,))]
     ts += [Transition(f"c{i}", EOT, "z" if i == 0 else "p", f"c{i + 1}", STAY, (1,))
@@ -328,14 +365,36 @@ def test_probe_is_one_bounded_search(monkeypatch):
     ts += [Transition(f"c{n}", EOT, "p", f"c{n}", STAY, (-1,)),
            Transition(f"c{n}", EOT, "z", "f", STAY, (0,))]
     states = frozenset({"s0", "f"} | {f"c{i}" for i in range(n + 1)})
-    m = CounterMachine("late", 1, 1, states, ("a",), "s0", frozenset({"f"}),
-                       tuple(ts), True, True)
+    return CounterMachine("late", 1, 1, states, ("a",), "s0", frozenset({"f"}),
+                          tuple(ts), True, True)
+
+
+def test_probe_is_one_bounded_search(monkeypatch):
+    """The `late` machine's stay run passes the probe's cap: the probe
+    misses 'a' without settling it with `member`, enumeration settles
+    it, and emptiness proves it."""
+    m = _late_machine()
     assert run_deterministic(m, "a").verdict == "accept"
     with monkeypatch.context() as p:
         p.setattr(decide, "member", lambda *_: pytest.fail("probe called member"))
         assert _probe_witness(m) is None
     assert enumerate_words(m, 3) == ["a"]
     assert is_empty(m) == (False, "a")
+
+
+def test_member_makes_one_run_search_before_the_pipeline(monkeypatch):
+    """On a nondeterministic copy of the `late` machine the run search at
+    cap len(word) + 16 leaves 'a' open; the word product settles it,
+    with no second search at a larger cap."""
+    m = replace(_late_machine(), deterministic=False)
+    calls = []
+    explore, pipeline = decide._ncm_explore, decide._member_pipeline
+    monkeypatch.setattr(decide, "_ncm_explore",
+                        lambda *args: calls.append("explore") or explore(*args))
+    monkeypatch.setattr(decide, "_member_pipeline",
+                        lambda *args: calls.append("pipeline") or pipeline(*args))
+    assert member(m, "a")
+    assert calls == ["explore", "pipeline"]
 
 
 def _explore_targets(m, rng):
@@ -407,16 +466,18 @@ def _run_python(code, *flags, hashseed="0"):
 
 def test_parikh_image_is_the_same_in_every_process():
     """Phase nodes hold None, whose hash varies between processes: the
-    Parikh image and the flow witnesses, those that need a connectivity
-    branch among them, must not depend on it."""
+    Parikh image and the flow witnesses, those of the corpus and those
+    that need a connectivity branch among them, must not depend on it."""
     code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "from randgen import lr_machine, machine_pool\n"
-            "from rbcm.corpus import load_corpus\n"
+            "from rbcm.corpus import CATALOG, load_corpus\n"
             "from rbcm.decide import build_phase_automaton, is_empty, parikh_image\n"
             "from rbcm.flow import _accepting_counts, _euler_word\n"
             "m = load_corpus('M_neq').artifact\n"
             "print([(c.base, sorted(c.periods)) for c in parikh_image(m)])\n"
             "print(is_empty(lr_machine(2)))\n"
+            "corpus = [load_corpus(name).artifact for name in CATALOG]\n"
+            "print([is_empty(getattr(a, 'machine', a)) for a in corpus])\n"
             "pool = machine_pool(4243, 50, alphabet='ab', deterministic=False)\n"
             "pas = [build_phase_automaton(pool[i]) for i in (16, 21, 33)]\n"
             "print([_euler_word(pa.initial, _accepting_counts(pa)) for pa in pas])\n")
@@ -428,8 +489,8 @@ def test_parikh_image_is_the_same_in_every_process():
 
 
 def test_witness_check_runs_under_optimize():
-    """The re-check rejects a witness from the probe (M_ab) and one from
-    edge counts (L_2, seven letters) also under python -O."""
+    """The re-check rejects witnesses from edge counts (M_ab, two
+    letters, and L_2, seven letters) also under python -O."""
     code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "import rbcm.decide as d\n"
             "from randgen import lr_machine\n"
@@ -443,7 +504,7 @@ def test_witness_check_runs_under_optimize():
             "        print('rejected:', exc)\n")
     r = _run_python(code, "-O")
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines() == ["optimized", "rejected: witness '' is not accepted",
+    assert r.stdout.splitlines() == ["optimized", "rejected: witness 'ab' is not accepted",
                                      "rejected: witness 'aaaabbc' is not accepted"]
 
 
