@@ -585,17 +585,14 @@ def left_quotient_word(m: CounterMachine, w: str) -> CounterMachine:
                           ("quotient_empty",), set(), (),
                           marked=False, deterministic=True)
     trace = run_deterministic(me, w)
-    boundary = None
-    for cfg, _t in trace.steps:
-        if cfg.consumed == len(w):
-            boundary = cfg
+    for boundary, consumed, targets, _budgets, _t in trace.steps.rows:
+        if consumed == len(w):
             break
-    if boundary is None:
+    else:
         return empty
-    targets = boundary.counters
     total = sum(targets)
     if total == 0:
-        return replace(me, initial=boundary.state, name=m.name + "_quo")
+        return replace(me, initial=boundary, name=m.name + "_quo")
     transitions = list(me.transitions)
     vals = [0] * me.k
     src = ("prime", 0)
@@ -607,7 +604,7 @@ def left_quotient_word(m: CounterMachine, w: str) -> CounterMachine:
             vals[i] += 1
             step_no += 1
             done = step_no == total
-            dst = boundary.state if done else ("prime", step_no)
+            dst = boundary if done else ("prime", step_no)
             for sym in tuple(me.alphabet) + (EOT,):
                 transitions.append(Transition(src, sym, guard, dst, STAY, deltas))
             src = dst

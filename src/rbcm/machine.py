@@ -15,6 +15,7 @@ import functools
 import itertools
 import operator
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
@@ -89,9 +90,52 @@ class DivergenceCertificate:
     growth: tuple
 
 
+class RunSteps(Sequence):
+    """Read-only view of a run's rows as (Configuration, Transition or
+    None) pairs.
+
+    `rows` holds one (state, consumed, counters, budgets, Transition or
+    None) tuple per step: the configuration before the step and the move
+    taken from it.  A pair is built only when it is read, and `len`
+    builds nothing.  Slices are lists of pairs, and a view equals a list
+    that holds the same pairs.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [_pair(row) for row in self.rows[i]]
+        return _pair(self.rows[i])
+
+    def __iter__(self):
+        return map(_pair, self.rows)
+
+    def __eq__(self, other):
+        if isinstance(other, RunSteps):
+            return self.rows == other.rows
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self):
+        return repr(list(self))
+
+
+def _pair(row):
+    return Configuration(*row[:4]), row[4]
+
+
 @dataclass
 class RunTrace:
-    steps: list          # [(Configuration, Transition or None), ...]
+    steps: RunSteps      # (Configuration, Transition or None) per step, each
+    # pair built when it is read from the plain rows in `steps.rows`
     verdict: str         # "accept" | "reject" | "diverge"
     certificate: Optional[DivergenceCertificate] = None
 
@@ -283,11 +327,12 @@ def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
     [t1, t2].  The certificate's t2 is the first step at which any such
     lasso closes, and its t1 is the earliest step that qualifies.
 
-    Cost: one move-table lookup per step, plus O(k) lasso bookkeeping on
-    stay steps only.  Step t1 of a lasso takes a stay move, and t2 has
-    t1's key and symbol, so t2 takes the same stay move: a step that
-    reads input never closes a lasso, and the record it would leave is
-    dropped at once.  Two steps with the same annotation have the same
+    Cost: one move-table lookup and one plain row per step, plus O(k)
+    lasso bookkeeping on stay steps only; no Configuration is built until
+    `RunTrace.steps` is read.  Step t1 of a lasso takes a stay move, and
+    t2 has t1's key and symbol, so t2 takes the same stay move: a step
+    that reads input never closes a lasso, and the record it would leave
+    is dropped at once.  Two steps with the same annotation have the same
     (direction, used) for every counter when `m.l` is finite, so no
     counter reversed between them: a counter that fell can never climb
     back, and a key keeps only its latest step.  With `m.l` None the
@@ -301,32 +346,32 @@ def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
     prune = m.l is not None
     finals = m.finals
     n = len(word)
-    config = initial_configuration(m)
-    state, consumed, counters, budgets = (
-        config.state, config.consumed, config.counters, config.budgets)
-    steps = []
+    state, consumed, counters, budgets = m.initial, 0, (0,) * m.k, fresh_budgets(m.k)
+    rows = []
     # stay segment bookkeeping since the last input-consuming move:
     earlier = {}              # lasso key -> [(trace index, counters)]
     last_zero = [-1] * m.k    # last trace index at which counter i was 0;
     # an index left from an earlier segment is below every t1 of this one
     while True:
         if consumed == n and state in finals:
-            steps.append((config, None))
-            return RunTrace(steps, "accept")
+            rows.append((state, consumed, counters, budgets, None))
+            return RunTrace(RunSteps(rows), "accept")
         status = tuple(map(bool, counters))
         moves = moves_at[state, word[consumed] if consumed < n else EOT, status, budgets]
         if len(moves) != 1:
             if moves:
                 raise NondeterministicInput(f"multiple transitions applicable from {state!r}")
-            steps.append((config, None))
-            return RunTrace(steps, "reject")
+            rows.append((state, consumed, counters, budgets, None))
+            return RunTrace(RunSteps(rows), "reject")
         t, nb = moves[0]
         if t.move == RIGHT:
+            # the row is taken before the bump: it holds the configuration before the move
+            rows.append((state, consumed, counters, budgets, t))
             consumed += 1
             if earlier:
                 earlier = {}
         else:
-            t2 = len(steps)
+            t2 = len(rows)
             for i, c in enumerate(counters):
                 if not c:
                     last_zero[i] = t2
@@ -335,14 +380,13 @@ def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
                 growth = tuple(b - a for a, b in zip(c1, counters))
                 if all(g >= 0 for g in growth) and \
                         all(last_zero[i] < t1 for i, g in enumerate(growth) if g):
-                    steps.append((config, None))
-                    return RunTrace(steps, "diverge", DivergenceCertificate(t1, t2, growth))
+                    rows.append((state, consumed, counters, budgets, None))
+                    return RunTrace(RunSteps(rows), "diverge", DivergenceCertificate(t1, t2, growth))
             if prune:
                 entries.clear()     # none of them can qualify later (see above)
             entries.append((t2, counters))
-        steps.append((config, t))
+            rows.append((state, consumed, counters, budgets, t))
         state, counters, budgets = t.dst, tuple(map(add, counters, t.deltas)), nb
-        config = Configuration(state, consumed, counters, budgets)
 
 
 def accepts(m: CounterMachine, word: str) -> bool:

@@ -75,7 +75,7 @@ def transduce_det(t: CounterTransducer, word: str):
     trace = run_deterministic(m, word)
     if trace.verdict != "accept":
         return None
-    return "".join(tr.output for _cfg, tr in trace.steps if tr is not None)
+    return "".join(t.output for _s, _c, _n, _b, t in trace.steps.rows if t is not None)
 
 
 def empty_word_acceptor(alphabet) -> CounterMachine:

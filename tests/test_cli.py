@@ -13,6 +13,9 @@ import rbcm
 from rbcm.cli import build_parser, run_cli
 from rbcm.corpus import CATALOG, corpus_text
 from rbcm.fileformat import parse_machine, serialize_machine
+from rbcm.machine import EOT, STAY, CounterMachine, Transition
+
+from oracles import lasso_run
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -48,11 +51,43 @@ def test_member_accept_and_reject(mab):
     assert run_cli(["member", mab, "--word", "ba"]) == 1
 
 
-def test_run_trace(mab, capsys):
-    assert run_cli(["run", mab, "--word", "ab", "--trace"]) == 0
-    out = capsys.readouterr().out
-    assert "accept" in out
-    assert "s0" in out  # trace shows visited states
+def _stay_loop(tmp_path):
+    """The one-state end-of-tape stay loop, which diverges on every word."""
+    m = CounterMachine("loop", 1, 1, frozenset({"s0", "s1"}), ("a", "b"), "s0",
+                       frozenset({"s1"}), (Transition("s0", EOT, "z", "s0", STAY, (0,)),),
+                       True, True)
+    f = tmp_path / "loop.mach"
+    f.write_text(serialize_machine(m))
+    return str(f)
+
+
+def test_run_trace(mab, tmp_path, capsys):
+    """Every `run --trace` line, and the --json step count and certificate,
+    are the oracle run's, on an accepting, a rejecting and a diverging run."""
+    for path, word, verdict in ((mab, "aabb", "accept"), (mab, "aab", "reject"),
+                                (_stay_loop(tmp_path), "", "diverge")):
+        with open(path, encoding="utf-8") as fh:
+            got_verdict, steps, cert = lasso_run(parse_machine(fh.read()), word)
+        assert got_verdict == verdict
+        want = []
+        for state, consumed, counters, _budgets, t in steps:
+            taken = "-" if t is None else f"{t.src} {t.symbol} {t.guard} -> {t.dst} {t.move}"
+            want.append(f"state={state!r} consumed={consumed} counters={list(counters)} via {taken}")
+        want.append(verdict)
+        if cert is not None:
+            want.append(f"divergence certificate: steps {cert[0]} and {cert[1]} "
+                        f"repeat with growth {list(cert[2])}")
+        code = 0 if verdict == "accept" else 1
+        assert run_cli(["run", path, "--word", word, "--trace"]) == code
+        assert capsys.readouterr().out.splitlines() == want
+        assert run_cli(["run", path, "--word", word, "--json"]) == code
+        details = json.loads(capsys.readouterr().out)["details"]
+        assert details["steps"] == len(steps)
+        if cert is None:
+            assert "certificate" not in details
+        else:
+            assert details["certificate"] == {"t1": cert[0], "t2": cert[1],
+                                              "growth": list(cert[2])}
 
 
 def test_enum_json(mab, capsys):

@@ -1,19 +1,23 @@
 import dataclasses
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbcm.corpus import load_corpus
+from rbcm.cli import run_cli
+from rbcm.constructions import left_quotient_word
+from rbcm.corpus import CATALOG, corpus_text, load_corpus
 from rbcm.decide import member
 from rbcm.errors import NondeterministicInput
-from rbcm.fileformat import parse_machine
+from rbcm.fileformat import parse_machine, serialize_machine
 from rbcm.machine import (
     EOT,
     RIGHT,
     STAY,
+    Configuration,
     CounterMachine,
     Transition,
     accepts,
@@ -21,9 +25,10 @@ from rbcm.machine import (
     run_deterministic,
     validate_machine,
 )
+from rbcm.transducer import CounterTransducer, transduce_det
 
 from oracles import lasso_run, naive_member, words_upto
-from randgen import machine_pool, rand_machine
+from randgen import lr_machine, machine_pool, rand_machine
 
 
 def _mk(transitions, *, k=1, l=1, states=("s0", "s1"), initial="s0",
@@ -112,6 +117,7 @@ def _same_as_lasso_oracle(m, word):
     except RuntimeError:
         return None
     trace = run_deterministic(m, word)
+    assert trace.steps.rows == steps, (m, word)
     got = [(c.state, c.consumed, c.counters, c.budgets, t) for c, t in trace.steps]
     got_cert = None if trace.certificate is None else (
         trace.certificate.t1, trace.certificate.t2, trace.certificate.growth)
@@ -141,6 +147,94 @@ def test_run_deterministic_matches_lasso_oracle():
             for n in (0, 1, 2, 57, 300):
                 word = "a" * n if m is mod else "#" + "a" * n + "b" * (n + n % 2) + "#"
                 assert _same_as_lasso_oracle(machine, word) is not None
+
+
+def _oracle_pairs(m, word):
+    verdict, steps, cert = lasso_run(m, word)
+    return verdict, [(Configuration(*row[:4]), row[4]) for row in steps], cert
+
+
+def test_run_steps_reads_like_a_list_of_pairs():
+    """`RunTrace.steps` is a read-only sequence of (Configuration,
+    Transition or None) pairs: it answers `len`, indexing from either end,
+    iteration, slicing, `==` and `repr` as the list of the oracle's pairs
+    does."""
+    loop = _mk([Transition("s0", EOT, "z", "s0", STAY, (0,))])
+    mab = load_corpus("M_ab").artifact
+    runs = [(mab, "aabb"), (mab, "aab"), (mab, ""), (loop, "")]
+    rng = random.Random(11)
+    runs += [(rand_machine(rng, max_k=2, l=1, stay_up=True), "ab" * rng.randint(0, 6))
+             for _ in range(30)]
+    seen = set()
+    for m, word in runs:
+        verdict, pairs, cert = _oracle_pairs(m, word)
+        trace = run_deterministic(m, word)
+        steps = trace.steps
+        seen.add(verdict)
+        assert trace.verdict == verdict
+        assert len(steps) == len(pairs)
+        assert [steps[i] for i in range(len(pairs))] == pairs
+        assert [steps[-i] for i in range(1, len(pairs) + 1)] == pairs[::-1]
+        assert list(steps) == pairs and list(iter(steps)) == pairs
+        assert steps[1:3] == pairs[1:3] and steps[::-1] == pairs[::-1] and steps[:] == pairs
+        assert steps == pairs and pairs == steps and steps == run_deterministic(m, word).steps
+        assert steps != pairs[:-1] and steps != tuple(pairs) and repr(steps) == repr(pairs)
+        assert steps.index(pairs[-1]) == len(pairs) - 1 and pairs[0] in steps
+        with pytest.raises(IndexError):
+            steps[len(pairs)]
+        with pytest.raises(TypeError):
+            steps[0] = pairs[0]
+        if cert is not None:
+            t1, t2, growth = cert
+            assert (trace.certificate.t1, trace.certificate.t2) == (t1, t2)
+            assert steps[trace.certificate.t1][0] == pairs[t1][0]
+            assert steps[trace.certificate.t2][0] == pairs[t2][0]
+    assert seen == {"accept", "reject", "diverge"}
+
+
+def _verdict_answers(tmp_path, capsys):
+    """What the runs behind a verdict answer: `member` and `accepts` on
+    the deterministic corpus machines and on L_R for R <= 10 (an accepted
+    word and a near miss each), `transduce_det` on T_shuffle,
+    `left_quotient_word` on the corpus machines, and `rbcm run` (without
+    --trace) and `rbcm member`."""
+    entries = [load_corpus(name) for name in CATALOG]
+    machines = [(e.artifact, [w for w, _ in e.membership]) for e in entries
+                if not isinstance(e.artifact, CounterTransducer) and e.artifact.deterministic]
+    machines += [(lr_machine(R), ["a" * (R * R) + "b" * R + c for c in ("c", "cc")])
+                 for R in range(1, 11)]
+    out = [(m.name, w, member(m, w), accepts(m, w)) for m, words in machines for w in words]
+    shuffle = load_corpus("T_shuffle")
+    out += [transduce_det(shuffle.artifact, w) for w, _ in shuffle.membership]
+    for m, words in machines[:-10]:
+        out += [serialize_machine(left_quotient_word(m, w[:i]))
+                for w in words for i in range(len(w) + 1) if set(w) <= set(m.alphabet)]
+    for e in entries:
+        f = tmp_path / f"{e.name}.mach"
+        f.write_text(corpus_text(e.name))
+        for w, _ in e.membership:
+            for cmd in ("run", "member"):
+                out.append((run_cli([cmd, str(f), "--word", w]), capsys.readouterr()))
+    return out
+
+
+def test_verdict_runs_build_no_configuration(tmp_path, capsys, monkeypatch):
+    """A run that only answers a verdict, an output or a boundary builds no
+    Configuration: with the class made to raise in every rbcm module that
+    holds it, all the answers stay the same."""
+    want = _verdict_answers(tmp_path, capsys)
+    assert any(code == 0 for code, _ in want[-20:]) and any(code == 1 for code, _ in want[-20:])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Configuration was built")
+
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        if (name == "rbcm" or name.startswith("rbcm.")) and "Configuration" in vars(mod):
+            monkeypatch.setattr(mod, "Configuration", refuse)
+    with pytest.raises(AssertionError, match="Configuration"):
+        run_deterministic(load_corpus("M_ab").artifact, "ab").steps[0]
+    assert _verdict_answers(tmp_path, capsys) == want
 
 
 # Under `reversals inf`: the counter is zero between two visits of one
