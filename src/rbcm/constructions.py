@@ -90,6 +90,7 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
     seen = {init}
     work = [init]
     has_eot = any(t.symbol == EOT for t in m1e.transitions + m2e.transitions)
+    split2 = {}     # (q2, sym) -> (g2, stays, rights) per guard of component two
     while work:
         st = work.pop()
         q1, q2, f1, f2 = st
@@ -101,14 +102,19 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
                 work.append(dst)
 
         for sym in m1e.alphabet:
+            rows2 = split2.get((q2, sym))
+            if rows2 is None:
+                by_guard = i2.get((q2, sym), {})
+                rows2 = split2[q2, sym] = []
+                for g2 in all_guards(k2):
+                    t2s = by_guard.get(g2, ())
+                    rows2.append((g2, [t for t in t2s if t.move == STAY],
+                                  [t for t in t2s if t.move == RIGHT]))
             for g1 in all_guards(k1):
                 t1s = i1.get((q1, sym), {}).get(g1, ())
                 s1 = [t for t in t1s if t.move == STAY]
                 r1 = [t for t in t1s if t.move == RIGHT]
-                for g2 in all_guards(k2):
-                    t2s = i2.get((q2, sym), {}).get(g2, ())
-                    s2 = [t for t in t2s if t.move == STAY]
-                    r2 = [t for t in t2s if t.move == RIGHT]
+                for g2, s2, r2 in rows2:
                     guard = g1 + g2
                     for t in s1:
                         emit2(sym, guard, (t.dst, q2, t.dst in F1, f2),
@@ -694,11 +700,9 @@ def concat_ncm(m1: CounterMachine, m2: CounterMachine) -> CounterMachine:
                 b(t.src), t.symbol, g1 + t.guard, b(t.dst), t.move,
                 z1 + t.deltas))
     initial = ("start",)
-    extra = []
-    for t in transitions:
-        if t.src == a(m1e.initial):
-            extra.append(replace(t, src=initial))
-    transitions += extra
+    a0 = a(m1e.initial)
+    transitions += [Transition(initial, t.symbol, t.guard, t.dst, t.move, t.deltas, t.output)
+                    for t in transitions if t.src == a0]
     finals = {b(f) for f in m2e.finals}
     return build_machine(
         f"({m1.name}.{m2.name})", k1 + k2, combine_budgets(m1.l, m2.l),
@@ -717,7 +721,7 @@ def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> Counte
     k = me.k
     if mode == "prefix":
         if me.marked or any(t.symbol == EOT for t in me.transitions):
-            return replace(concat_ncm(m, sigma_star_machine(m.alphabet)),
+            return replace(concat_ncm(me, sigma_star_machine(m.alphabet)),
                            name=m.name + "_insuffix")
         # Simulation states carry a freshness flag: a stay move peeks at
         # the current letter, committing it to the simulated machine, so
@@ -726,10 +730,10 @@ def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> Counte
         sink = ("post",)
         transitions = []
         for t in me.transitions:
-            dst_fresh = t.move == RIGHT
+            dst = (t.dst, t.move == RIGHT)
             for fresh in (True, False):
-                transitions.append(replace(
-                    t, src=(t.src, fresh), dst=(t.dst, dst_fresh)))
+                transitions.append(Transition(
+                    (t.src, fresh), t.symbol, t.guard, dst, t.move, t.deltas, t.output))
         for f in me.finals:
             for x in me.alphabet:
                 for g in all_guards(k):
@@ -747,9 +751,8 @@ def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> Counte
         transitions = list(me.transitions)
         for x in me.alphabet:
             transitions.append(Transition(skip, x, ZERO * k, skip, RIGHT, (0,) * k))
-        for t in me.transitions:
-            if t.src == me.initial:
-                transitions.append(replace(t, src=skip))
+        transitions += [Transition(skip, t.symbol, t.guard, t.dst, t.move, t.deltas, t.output)
+                        for t in me.transitions if t.src == me.initial]
         finals = set(me.finals)
         if me.initial in me.finals:
             finals.add(skip)
@@ -771,15 +774,16 @@ def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> Counte
     # pending peek at the current letter.
     transitions = []
     for t in me.transitions:
+        sym, guard, move, deltas, output = t.symbol, t.guard, t.move, t.deltas, t.output
         for g in range(gaps + 1):
             for fresh in (True, False):
-                transitions.append(replace(
-                    t, src=(t.src, "sim", g, fresh),
-                    dst=(t.dst, "sim", g,
-                         fresh if t.symbol == EOT else t.move == RIGHT)))
-            transitions.append(replace(
-                t, src=(t.src, "gap", g),
-                dst=(t.dst, "sim", g, t.move == RIGHT)))
+                transitions.append(Transition(
+                    (t.src, "sim", g, fresh), sym, guard,
+                    (t.dst, "sim", g, fresh if sym == EOT else move == RIGHT),
+                    move, deltas, output))
+            transitions.append(Transition(
+                (t.src, "gap", g), sym, guard, (t.dst, "sim", g, move == RIGHT),
+                move, deltas, output))
     for q in me.states:
         for g in range(gaps):
             for x in me.alphabet:

@@ -20,7 +20,7 @@ import heapq
 import itertools
 import operator
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -406,7 +406,7 @@ def to_one_reversal(m: CounterMachine) -> CounterMachine:
         for combo in itertools.product(*per_counter):
             guard = "".join(g for g, _ in combo)
             deltas = tuple(x for _, ds in combo for x in ds)
-            transitions.append(replace(t, guard=guard, deltas=deltas))
+            transitions.append(Transition(t.src, t.symbol, guard, t.dst, t.move, deltas, t.output))
     return CounterMachine(
         name=m.name + "_1rev",
         k=m.k * p,
@@ -546,11 +546,10 @@ def build_phase_automaton(m: CounterMachine) -> PhaseAutomaton:
 
 
 def _trim_phase_automaton(pa: PhaseAutomaton):
-    edges = [(e.src, e.dst) for e in pa.edges]
-    reach = _reachable([pa.initial], edges)
-    co = _reachable([n for n in reach if n in pa.accepting],
-                    [(v, u) for u, v in edges])
-    live = {n for n in reach if n in co}
+    """Keep the nodes that reach an accepting node, and the initial one.
+    Every node is reached from the initial one: it was added as the
+    target of an edge explored from there."""
+    live = set(_reachable(pa.accepting, [(e.dst, e.src) for e in pa.edges]))
     live.add(pa.initial)
     pa.nodes = live
     pa.accepting = pa.accepting & live

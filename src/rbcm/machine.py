@@ -178,6 +178,11 @@ def _reachable(seeds, edges) -> dict:
     adj = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
+    return _walk(seeds, adj)
+
+
+def _walk(seeds, adj) -> dict:
+    """`_reachable` over an adjacency dict: node -> [successors]."""
     seen = dict.fromkeys(seeds)
     work = list(seen)
     while work:
@@ -406,25 +411,38 @@ def enforce_reversal_control(m: CounterMachine) -> CounterMachine:
         return replace(m, budget_explicit=True)
     idx = _index(m)
     start = (m.initial, fresh_budgets(m.k))
+    # `states` is a set filled in discovery order: the output's frozenset is
+    # copied from it, and the constructions' loops over `states` follow
+    # that copy's iteration order, which a dict-built frozenset can change.
     states = {start}
+    pairs = {start: start}  # each reached pair, the one object its transitions share
+    after = {}              # budgets -> deltas -> budgets after, or None
     transitions = []
     work = [start]
     symbols = list(m.alphabet) + ([EOT] if m.marked else [])
     while work:
-        q, bud = work.pop()
+        src = work.pop()
+        q, bud = src
+        steps = after.get(bud)
+        if steps is None:
+            steps = after[bud] = {}
         for sym in symbols:
             for guard, ts in idx.get((q, sym), {}).items():
                 for t in ts:
-                    nb = _step_budgets(bud, t.deltas, m.l)
+                    try:
+                        nb = steps[t.deltas]
+                    except KeyError:
+                        nb = steps[t.deltas] = _step_budgets(bud, t.deltas, m.l)
                     if nb is None:
                         continue
-                    dst = (t.dst, nb)
-                    if dst not in states:
-                        states.add(dst)
-                        work.append(dst)
+                    key = (t.dst, nb)
+                    dst = pairs.get(key)
+                    if dst is None:
+                        dst = pairs[key] = key
+                        states.add(key)
+                        work.append(key)
                     transitions.append(Transition(
-                        (q, bud), t.symbol, t.guard, dst, t.move, t.deltas,
-                        t.output))
+                        src, t.symbol, t.guard, dst, t.move, t.deltas, t.output))
     finals = frozenset(s for s in states if s[0] in m.finals)
     return CounterMachine(
         name=m.name + "_rc",
@@ -476,20 +494,25 @@ def combine_budgets(l1, l2):
 
 def build_machine(name, k, l, alphabet, initial, finals, transitions, *,
                   marked=None, deterministic, budget_explicit=True) -> CounterMachine:
-    """Assemble a machine from its transitions, keeping only the states
-    reachable from `initial`.  `marked` defaults to whether any
-    transition reads the end-of-tape marker."""
-    transitions = tuple(dict.fromkeys(transitions))
+    """Assemble a machine from a sequence of transitions, keeping only
+    the states reachable from `initial` and, in input order, the first
+    occurrence of each transition out of them.  The states are found
+    first, so only those transitions are hashed.  `marked` defaults to
+    whether any given transition, reachable or not, reads the end-of-tape
+    marker."""
     if marked is None:
         marked = any(t.symbol == EOT for t in transitions)
-    states = _reachable([initial], ((t.src, t.dst) for t in transitions))
+    adj = {}
+    for t in transitions:
+        adj.setdefault(t.src, []).append(t.dst)
+    states = _walk([initial], adj)
     return CounterMachine(
         name=name, k=k, l=l,
         states=frozenset(states),
         alphabet=tuple(alphabet),
         initial=initial,
         finals=frozenset(f for f in finals if f in states),
-        transitions=tuple(t for t in transitions if t.src in states),
+        transitions=tuple(dict.fromkeys([t for t in transitions if t.src in states])),
         marked=marked,
         deterministic=deterministic,
         budget_explicit=budget_explicit,
@@ -505,9 +528,10 @@ def no_stay_into_final(m: CounterMachine) -> CounterMachine:
     twins = {t.dst: ("nsif", t.dst) for t in transitions
              if t.move == STAY and t.symbol != EOT and t.dst in m.finals}
     for f, tw in twins.items():
-        transitions += [replace(t, src=tw) for t in m.transitions if t.src == f]
+        transitions += [Transition(tw, t.symbol, t.guard, t.dst, t.move, t.deltas, t.output)
+                        for t in m.transitions if t.src == f]
     transitions = [
-        replace(t, dst=twins[t.dst])
+        Transition(t.src, t.symbol, t.guard, twins[t.dst], t.move, t.deltas, t.output)
         if t.move == STAY and t.symbol != EOT and t.dst in twins else t
         for t in transitions
     ]

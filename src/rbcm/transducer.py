@@ -58,7 +58,7 @@ def to_null_transducer(t) -> CounterTransducer:
         t = CounterTransducer(t, ())
     m = t.machine
     transitions = tuple(
-        replace(tr, output="")
+        Transition(tr.src, tr.symbol, tr.guard, tr.dst, tr.move, tr.deltas)
         for tr in m.transitions
         if not (tr.symbol == EOT and tr.src in m.finals))
     return CounterTransducer(replace(m, transitions=transitions), t.out_alphabet)

@@ -32,6 +32,15 @@ the whole one-reversal split `to_one_reversal(m)` written out first, then
 explored over a scan of its guard buckets: the reference for
 `decide.build_phase_automaton`, nodes and edge order alike.
 
+`build_machine_reference` deduplicates the transitions first, then finds
+the reachable states and keeps the transitions out of them: the reference
+for `machine.build_machine`, states, their iteration order and
+transition order alike.  `enforce_reversal_control_reference` is the
+budget annotation as a plain worklist that steps the budgets once per
+transition and builds fresh (state, budgets) pairs for each one: the
+reference for `machine.enforce_reversal_control`, states, their
+iteration order and transition order alike.
+
 `fm_feasible` is Fourier-Motzkin elimination, the reference for
 `decide.rational_feasible`; `stay_cycles_terminate` enumerates the simple
 stay cycles and decides their cone with it, the reference for
@@ -64,7 +73,9 @@ from rbcm.decide import (
     AT_EOT, READING, PhaseAutomaton, PhaseEdge, _end_mode_constraints, _parikh_paths,
     _weight_counters_letters, linear_feasible, to_one_reversal,
 )
-from rbcm.machine import DIR_DOWN, DIR_NONE, DIR_UP, EOT, POS, RIGHT, STAY, ZERO
+from rbcm.machine import (
+    DIR_DOWN, DIR_NONE, DIR_UP, EOT, POS, RIGHT, STAY, ZERO, CounterMachine, Transition,
+)
 
 
 def words_upto(alphabet, max_len):
@@ -333,6 +344,54 @@ def _reach_in_order(seeds, edges):
                 seen[v] = None
                 work.append(v)
     return seen
+
+
+def build_machine_reference(name, k, l, alphabet, initial, finals, transitions, *,
+                            marked=None, deterministic, budget_explicit=True):
+    transitions = tuple(dict.fromkeys(transitions))
+    if marked is None:
+        marked = any(t.symbol == EOT for t in transitions)
+    states = _reach_in_order([initial], [(t.src, t.dst) for t in transitions])
+    return CounterMachine(
+        name, k, l, frozenset(states), tuple(alphabet), initial,
+        frozenset(f for f in finals if f in states),
+        tuple(t for t in transitions if t.src in states),
+        marked, deterministic, budget_explicit)
+
+
+def enforce_reversal_control_reference(m):
+    """Needs a finite budget and a machine that is not budget-explicit."""
+    idx = {}
+    for t in m.transitions:
+        idx.setdefault((t.src, t.symbol), {}).setdefault(t.guard, []).append(t)
+
+    def step(budgets, deltas):
+        out = tuple(_bump(e, d) for e, d in zip(budgets, deltas))
+        return None if any(u > m.l for _, u in out) else out
+
+    start = (m.initial, ((DIR_NONE, 0),) * m.k)
+    states = {start}
+    transitions = []
+    work = [start]
+    symbols = list(m.alphabet) + ([EOT] if m.marked else [])
+    while work:
+        q, bud = work.pop()
+        for sym in symbols:
+            for guard, ts in idx.get((q, sym), {}).items():
+                for t in ts:
+                    nb = step(bud, t.deltas)
+                    if nb is None:
+                        continue
+                    dst = (t.dst, nb)
+                    if dst not in states:
+                        states.add(dst)
+                        work.append(dst)
+                    transitions.append(Transition(
+                        (q, bud), t.symbol, t.guard, dst, t.move, t.deltas, t.output))
+    return CounterMachine(
+        m.name + "_rc", m.k, m.l, frozenset(states), m.alphabet, start,
+        frozenset(s for s in states if s[0] in m.finals), tuple(transitions),
+        m.marked, m.deterministic, True)
 
 
 def phase_automaton_reference(m):

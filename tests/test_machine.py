@@ -307,6 +307,84 @@ def test_enforce_reversal_control_preserves_language(det_pool):
             assert accepts(me, w) == naive_member(m, w), (m.name, w)
 
 
+def _transition_list(rng):
+    """A reachable block r*, an unreachable block u* whose moves may
+    enter r*, a cycle back to the initial state, exact repeats, and in
+    some draws an end-of-tape move on an unreachable state only."""
+    reach = [f"r{i}" for i in range(rng.randint(1, 6))]
+    unreach = [("u", i) for i in range(rng.randint(1, 3))]
+    eot_only_unreachable = rng.random() < 0.3
+    ts = []
+    for _ in range(rng.randint(1, 30)):
+        src = rng.choice(reach + unreach)
+        dst = rng.choice(reach if src in reach else reach + unreach)
+        if not eot_only_unreachable and rng.random() < 0.15:
+            ts.append(Transition(src, EOT, rng.choice("zp"), dst, STAY, (0,)))
+        else:
+            ts.append(Transition(src, rng.choice("ab"), rng.choice("zp"), dst,
+                                 rng.choice((RIGHT, STAY)), (rng.choice((0, 1)),)))
+    ts.append(Transition(rng.choice(reach), "a", "z", reach[0], RIGHT, (0,)))
+    if eot_only_unreachable:
+        ts.append(Transition(unreach[0], EOT, "z", rng.choice(reach), STAY, (0,)))
+    for _ in range(rng.randint(0, 8)):
+        ts.insert(rng.randint(0, len(ts)), rng.choice(ts))
+    rng.shuffle(ts)
+    finals = rng.sample(reach + unreach, rng.randint(0, len(reach + unreach)))
+    return reach[0], finals, ts
+
+
+def test_build_machine_matches_dedupe_then_trim_reference():
+    """`build_machine` trims before it deduplicates; the machine is the
+    one that deduplicating first and trimming second gives: the same
+    states in the same iteration order, the same finals and `marked`,
+    and the same transitions in the same order."""
+    from rbcm.machine import build_machine
+
+    from oracles import build_machine_reference
+    seen = {"repeat": 0, "unreachable source": 0, "cycle": 0, "$ only unreachable": 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        initial, finals, ts = _transition_list(rng)
+        marked = None if seed % 4 else bool(seed % 8)
+        args = (f"b{seed}", 1, 1, ("a", "b"), initial, finals, ts)
+        got = build_machine(*args, marked=marked, deterministic=False)
+        want = build_machine_reference(*args, marked=marked, deterministic=False)
+        assert got == want, seed
+        assert list(got.states) == list(want.states), seed
+        assert got.transitions == want.transitions, seed
+        seen["repeat"] += len(set(ts)) < len(ts)
+        seen["unreachable source"] += any(t.src not in got.states for t in ts)
+        seen["cycle"] += any(t.dst == initial for t in got.transitions)
+        if marked is None and not any(t.symbol == EOT for t in got.transitions) \
+                and any(t.symbol == EOT for t in ts):
+            assert got.marked
+            seen["$ only unreachable"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_enforce_reversal_control_matches_reference(det_pool, nondet_pool):
+    """Same states (in iteration order), finals and transitions (in
+    order) as the plain worklist, for l = 1, 2, 3 and k <= 3; and every
+    transition's ends are the very objects held in `states`."""
+    from oracles import enforce_reversal_control_reference
+    pool = (det_pool + nondet_pool + machine_pool(1003, 12, max_k=3)
+            + machine_pool(1004, 12, max_k=3, deterministic=False))
+    assert {m.k for m in pool} == {0, 1, 2, 3}
+    for m in pool:
+        for l in (1, 2, 3):
+            ml = dataclasses.replace(m, l=l)
+            got = enforce_reversal_control(ml)
+            want = enforce_reversal_control_reference(ml)
+            assert got == want, (m.name, l)
+            assert list(got.states) == list(want.states), (m.name, l)
+            assert list(got.finals) == list(want.finals), (m.name, l)
+            assert got.transitions == want.transitions, (m.name, l)
+            member = {s: s for s in got.states}
+            assert got.initial is member[got.initial]
+            for t in got.transitions:
+                assert t.src is member[t.src] and t.dst is member[t.dst], (m.name, l, t)
+
+
 def test_member_matches_oracle_on_nondet_machines(nondet_pool):
     from rbcm.decide import member
     for m in nondet_pool:
