@@ -431,7 +431,7 @@ READING, AT_EOT = "r", "e"
 
 @dataclass(frozen=True, slots=True)
 class PhaseEdge:
-    eid: int
+    eid: int             # the edge's position in PhaseAutomaton.edges
     src: tuple
     dst: tuple
     letter: object       # consumed letter for Right moves, else None
@@ -457,6 +457,17 @@ def _mode_options(mo, delta):
     return [MODE_DOWN, MODE_Z1] if mo in (MODE_UP, MODE_DOWN) else []
 
 
+def _live_states(m: CounterMachine):
+    """(live_read, live_eot): the states that reach a final state along
+    `$` moves (live_eot), and those that reach live_eot along letter
+    moves (live_read)."""
+    eot, letters = [], []
+    for t in m.transitions:
+        (eot if t.symbol == EOT else letters).append((t.dst, t.src))
+    live_eot = _reachable(m.finals, eot)
+    return _reachable(live_eot, letters), live_eot
+
+
 def build_phase_automaton(m: CounterMachine) -> PhaseAutomaton:
     """Finite abstraction of a machine with a finite reversal budget.
 
@@ -476,8 +487,20 @@ def build_phase_automaton(m: CounterMachine) -> PhaseAutomaton:
     sub-counter guard and the counter status (a counter is positive iff
     one of its sub-counters rises or falls); the move table gives the
     moves at that status and the node's budgets, and `_sub_deltas` their
-    sub-counter deltas.  Nodes and edges come out as exploring
-    `to_one_reversal(m)` would make them, in the same order.
+    sub-counter deltas.
+
+    Work is paid for live nodes only.  The exploration adds no node whose
+    machine state cannot reach a final state in the node's phase
+    (`_live_states`): no node reached from it is accepting, so the trim
+    would drop it, and leaving it out changes neither the order in which
+    the other nodes are explored nor the order of their edges.  Edges are
+    explored as plain rows; the result is trimmed to the nodes that reach
+    an accepting node, and the initial one, and a `PhaseEdge` is built
+    for each kept row only, its `eid` being its position in `edges`.
+    Nodes and edges come out as exploring `to_one_reversal(m)` and
+    trimming would make them, in the same order.  Guards, counter
+    statuses, mode successors and sub-counter deltas are worked out once
+    per distinct key within one build.
     """
     if m.l is None:
         raise InfiniteBudget("the phase automaton needs a finite budget")
@@ -486,6 +509,8 @@ def build_phase_automaton(m: CounterMachine) -> PhaseAutomaton:
     k = m.k * p
     blocks = range(0, k, p)
     index, table = _index(m), _moves(m)
+    live_read, live_eot = _live_states(m)
+    guards, statuses, successors, splits, subs = {}, {}, {}, {}, {}
 
     def steps(state, sym, guard):
         """(target, move, sub-counter deltas) of the moves on sym."""
@@ -493,67 +518,78 @@ def build_phase_automaton(m: CounterMachine) -> PhaseAutomaton:
             return [(t.dst, t.move, t.deltas)
                     for t in index.get((state, sym), {}).get(guard, ())]
         q, budgets = state
-        status = tuple(POS in guard[i:i + p] for i in blocks)
+        status = statuses.get(guard)
+        if status is None:
+            status = statuses[guard] = tuple(POS in guard[i:i + p] for i in blocks)
         out = []
         for t, nb in table[q, sym, status, budgets]:
-            subs = [_sub_deltas(d, entry, guard[i:i + p])
-                    for i, d, entry in zip(blocks, t.deltas, budgets)]
-            if None not in subs:
-                out.append(((t.dst, nb), t.move, sum(subs, ())))
+            key = (t.deltas, budgets, guard)
+            if key in subs:
+                sub = subs[key]
+            else:
+                parts = [_sub_deltas(d, entry, guard[i:i + p])
+                         for i, d, entry in zip(blocks, t.deltas, budgets)]
+                sub = subs[key] = None if None in parts else sum(parts, ())
+            if sub is not None:
+                out.append(((t.dst, nb), t.move, sub))
         return out
+
+    def add_edge(src, dst, letter, deltas):
+        if dst not in nodes:
+            base = dst[0] if plain else dst[0][0]
+            if base not in (live_eot if dst[2] == AT_EOT else live_read):
+                return
+            nodes.add(dst)
+            work.append(dst)
+        rows.append((src, dst, letter, deltas))
 
     init = (m.initial if plain else (m.initial, fresh_budgets(m.k)),
             MODE_Z0 * k, READING, None)
     nodes = {init}
-    edges = []
+    rows = []       # (src, dst, letter, sub-counter deltas) per edge explored
     work = [init]
     while work:
         node = work.pop()
         state, modes, phase, pending = node
-        guard = "".join([ZERO if mo in (MODE_Z0, MODE_Z1) else POS for mo in modes])
-
-        def add_edge(dst, letter, deltas):
-            if dst not in nodes:
-                nodes.add(dst)
-                work.append(dst)
-            edges.append(PhaseEdge(
-                len(edges), node, dst, letter,
-                tuple(1 if d == 1 else 0 for d in deltas),
-                tuple(1 if d == -1 else 0 for d in deltas)))
-
+        guard = guards.get(modes)
+        if guard is None:
+            guard = guards[modes] = "".join(
+                [ZERO if mo in (MODE_Z0, MODE_Z1) else POS for mo in modes])
         if phase == AT_EOT:
             syms = (EOT,)
         else:
             syms = m.alphabet if pending is None else (pending,)
         for sym in syms:
             for dst, move, deltas in steps(state, sym, guard):
-                opts = [_mode_options(mo, d) for mo, d in zip(modes, deltas)]
-                for newmodes in itertools.product(*opts):
-                    nm = "".join(newmodes)
+                key = (modes, deltas)
+                nms = successors.get(key)
+                if nms is None:
+                    nms = successors[key] = ["".join(c) for c in itertools.product(
+                        *[_mode_options(mo, d) for mo, d in zip(modes, deltas)])]
+                for nm in nms:
                     if phase == AT_EOT:
-                        add_edge((dst, nm, AT_EOT, None), None, deltas)
+                        add_edge(node, (dst, nm, AT_EOT, None), None, deltas)
                     elif move == RIGHT:
-                        add_edge((dst, nm, READING, None), sym, deltas)
+                        add_edge(node, (dst, nm, READING, None), sym, deltas)
                     else:
-                        add_edge((dst, nm, READING, sym), None, deltas)
+                        add_edge(node, (dst, nm, READING, sym), None, deltas)
         if phase == READING and pending is None:
-            add_edge((state, modes, AT_EOT, None), None, (0,) * k)
+            add_edge(node, (state, modes, AT_EOT, None), None, (0,) * k)
     accepting = {n for n in nodes if n[2] == AT_EOT
                  and (n[0] if plain else n[0][0]) in m.finals}
-    pa = PhaseAutomaton(k, m.alphabet, nodes, edges, init, accepting)
-    _trim_phase_automaton(pa)
-    return pa
-
-
-def _trim_phase_automaton(pa: PhaseAutomaton):
-    """Keep the nodes that reach an accepting node, and the initial one.
-    Every node is reached from the initial one: it was added as the
-    target of an edge explored from there."""
-    live = set(_reachable(pa.accepting, [(e.dst, e.src) for e in pa.edges]))
-    live.add(pa.initial)
-    pa.nodes = live
-    pa.accepting = pa.accepting & live
-    pa.edges = [e for e in pa.edges if e.src in live and e.dst in live]
+    # every node was added as the target of an edge explored from the
+    # initial one, so the trim need only walk back from the accepting nodes
+    keep = set(_reachable(accepting, [(dst, src) for src, dst, _, _ in rows]))
+    keep.add(init)
+    edges = []
+    for src, dst, letter, deltas in rows:
+        if src in keep and dst in keep:
+            split = splits.get(deltas)
+            if split is None:
+                split = splits[deltas] = (tuple(1 if d == 1 else 0 for d in deltas),
+                                          tuple(1 if d == -1 else 0 for d in deltas))
+            edges.append(PhaseEdge(len(edges), src, dst, letter, *split))
+    return PhaseAutomaton(k, m.alphabet, keep, edges, init, accepting)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,9 @@ verdicts of `flow._accepting_counts`.
 
 `phase_automaton_reference` is the phase automaton built the eager way:
 the whole one-reversal split `to_one_reversal(m)` written out first, then
-explored over a scan of its guard buckets: the reference for
-`decide.build_phase_automaton`, nodes and edge order alike.
+explored over a scan of its guard buckets, and trimmed; each kept edge is
+numbered by its position in the trimmed list: the reference for
+`decide.build_phase_automaton`, nodes, edge order and edge numbers alike.
 
 `build_machine_reference` deduplicates the transitions first, then finds
 the reachable states and keeps the transitions out of them: the reference
@@ -424,10 +425,9 @@ def phase_automaton_reference(m):
             if dst not in nodes:
                 nodes.add(dst)
                 work.append(dst)
-            edges.append(PhaseEdge(
-                len(edges), node, dst, letter,
-                tuple(1 if d == 1 else 0 for d in deltas),
-                tuple(1 if d == -1 else 0 for d in deltas)))
+            edges.append((node, dst, letter,
+                          tuple(1 if d == 1 else 0 for d in deltas),
+                          tuple(1 if d == -1 else 0 for d in deltas)))
 
         for sym in (m.alphabet if phase == READING else (EOT,)):
             if pending is not None and sym != pending:
@@ -448,11 +448,12 @@ def phase_automaton_reference(m):
         if phase == READING and pending is None:
             add_edge((q, modes, AT_EOT, None), None, (0,) * k)
     accepting = {n for n in nodes if n[2] == AT_EOT and n[0] in m.finals}
-    pairs = [(e.src, e.dst) for e in edges]
+    pairs = [(src, dst) for src, dst, *_ in edges]
     reach = _reach_in_order([init], pairs)
     co = _reach_in_order([n for n in reach if n in accepting], [(v, u) for u, v in pairs])
     live = {n for n in reach if n in co} | {init}
-    return PhaseAutomaton(k, m.alphabet, live, [e for e in edges if e.src in live and e.dst in live],
+    kept = [e for e in edges if e[0] in live and e[1] in live]
+    return PhaseAutomaton(k, m.alphabet, live, [PhaseEdge(i, *e) for i, e in enumerate(kept)],
                           init, accepting & live)
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from rbcm.constructions import (
-    boolean_dcm, end_marker_behavior, inverse_insertion_ncm, product_intersection,
+    boolean_dcm, end_marker_behavior, intersect_regular, inverse_insertion_ncm,
+    product_intersection,
 )
 from rbcm.corpus import CATALOG, load_corpus
 from rbcm.errors import InfiniteBudget
@@ -47,7 +48,7 @@ from rbcm.machine import (
     enforce_reversal_control,
     run_deterministic,
 )
-from rbcm.regular import UnaryDFA
+from rbcm.regular import UnaryDFA, word_dfa
 
 from oracles import (
     OracleBudgetExceeded,
@@ -98,8 +99,49 @@ def test_to_one_reversal_is_annotation_only_at_budget_one():
         assert member(out, w) == naive_member(m, w), w
 
 
+def _control_dead_machines():
+    """Machines with states that cannot reach a final state in one phase.
+    `reads_to_final`: s0 and s1 reach f only by reading (every `$` move
+    runs into the non-final sink d).  `ends_to_final`: s0 and d reach f
+    only at end of tape (reading a b leads to g, which reads forever).
+    `dead_start`: no final state is reachable at all, and the initial
+    state reads a into itself, so the initial node has a self-loop."""
+    def machine(name, l, states, finals, ts):
+        return CounterMachine(name, 1, l, frozenset(states), ("a", "b"), "s0",
+                              frozenset(finals), tuple(ts), True, True)
+
+    up = [Transition("s0", "a", g, "s0", RIGHT, (1,)) for g in "zp"]
+    drain = [Transition("s0", EOT, "p", "d", STAY, (-1,)),
+             Transition("d", EOT, "p", "d", STAY, (-1,))]
+    reads = machine("reads_to_final", 3, ("s0", "s1", "s2", "d", "f", "t"), ("f",), up + drain + [
+        Transition("s0", "b", "p", "s1", RIGHT, (-1,)),
+        Transition("s1", "b", "p", "s1", RIGHT, (-1,)),
+        Transition("s1", "a", "z", "f", RIGHT, (0,)),
+        Transition("s1", "a", "p", "s2", RIGHT, (1,)),
+        Transition("s2", "a", "z", "s2", RIGHT, (1,)),
+        Transition("s2", "a", "p", "s2", RIGHT, (1,)),
+        Transition("s1", EOT, "p", "d", STAY, (-1,)),
+        Transition("f", "b", "z", "t", RIGHT, (0,))])
+    ends = machine("ends_to_final", 1, ("s0", "d", "f", "g"), ("f",), up + drain + [
+        Transition("d", EOT, "z", "f", STAY, (0,)),
+        Transition("s0", "b", "p", "g", RIGHT, (0,)),
+        Transition("g", "a", "p", "g", RIGHT, (0,)),
+        Transition("g", "b", "p", "g", RIGHT, (-1,)),
+        Transition("f", "a", "z", "g", RIGHT, (1,))])
+    dead = machine("dead_start", 1, ("s0", "s1", "f"), ("f",), [
+        Transition("s0", "a", "z", "s0", RIGHT, (0,)),
+        Transition("s0", "b", "z", "s1", RIGHT, (1,)),
+        Transition("s1", "b", "p", "s1", RIGHT, (-1,)),
+        Transition("s1", EOT, "z", "s1", STAY, (0,)),
+        Transition("f", "a", "z", "f", RIGHT, (0,))])
+    return [reads, ends, dead]
+
+
 def _phase_pool(corpus_machines):
-    """Budgets 1 to 7, budget-explicit machines among them."""
+    """Budgets 1 to 7, budget-explicit machines among them, and the
+    machines whose builds skip control-dead nodes most: the hand-written
+    ones, the complemented products of `compare` over the deterministic
+    corpus pairs and the word products of `_member_pipeline`."""
     rng = random.Random(12)
     draws = [rand_machine(rng, l=(1, 2, 3)[i % 3], deterministic=i % 2 == 0)
              for i in range(150)]
@@ -108,21 +150,95 @@ def _phase_pool(corpus_machines):
               for i in range(40)]
     neq = load_corpus("M_neq").artifact
     split = [_three_reversal_machine()] + [replace(neq, l=l) for l in (1, 3, 5)]
-    pool = corpus_machines + [lr_machine(R) for R in range(1, 11)] + split
+    hand = _control_dead_machines()
+    pool = corpus_machines + [lr_machine(R) for R in range(1, 11)] + split + hand
     explicit = [enforce_reversal_control(m) for m in pool + draws[:12]]
-    return pool + draws + explicit + [to_one_reversal(m) for m in split]
+    dets = [m for m in corpus_machines if m.deterministic]
+    products = [product_intersection(a, boolean_dcm(b, None, "not"))
+                for a in dets for b in dets if a.alphabet == b.alphabet]
+    words = [(m, w) for m in corpus_machines + hand for w in words_upto(m.alphabet, 2)]
+    words += [(lr_machine(R), "a" * (R * R) + "b" * R + c) for R in range(1, 5) for c in ("c", "cc")]
+    products += [intersect_regular(m, word_dfa(w, m.alphabet)) for m, w in words]
+    return pool + draws + explicit + [to_one_reversal(m) for m in split] + products
 
 
 def test_phase_automaton_matches_split_reference(corpus_machines):
     """The phase automaton explored straight from the machine is the one
     the written-out split gives: the same nodes and accepting nodes, and
     the same edges in the same order, which fixes the elimination order
-    and so every downstream output."""
+    and so every downstream output.  Edges are numbered by their position
+    in the trimmed list."""
     for m in _phase_pool(corpus_machines):
         got, want = build_phase_automaton(m), phase_automaton_reference(m)
         assert (got.k, got.initial, got.nodes, got.accepting) == \
             (want.k, want.initial, want.nodes, want.accepting), m.name
         assert got.edges == want.edges, m.name
+        assert [e.eid for e in got.edges] == list(range(len(got.edges))), m.name
+
+
+def _live_sets(m):
+    """(live_read, live_eot) by fixed-point iteration: the states that
+    reach a final state along `$` moves, and those that reach one of
+    these along letter moves."""
+    def back(seeds, moves):
+        live, grew = set(seeds), True
+        while grew:
+            grew = False
+            for t in moves:
+                if t.dst in live and t.src not in live:
+                    live.add(t.src)
+                    grew = True
+        return live
+
+    live_eot = back(m.finals, [t for t in m.transitions if t.symbol == EOT])
+    return back(live_eot, [t for t in m.transitions if t.symbol != EOT]), live_eot
+
+
+class _LookupSpy:
+    """A move table or transition index that records the (state, symbol)
+    of every lookup."""
+
+    def __init__(self, inner, seen):
+        self.inner, self.seen = inner, seen
+
+    def __getitem__(self, key):
+        self.seen.append(key[:2])
+        return self.inner[key]
+
+    def get(self, key, default=None):
+        self.seen.append(key)
+        return self.inner.get(key, default)
+
+
+def test_phase_automaton_pays_only_for_live_nodes(corpus_machines, monkeypatch):
+    """The build makes one `PhaseEdge` per edge of the trimmed automaton,
+    and looks up moves only for nodes whose machine state can reach a
+    final state: along `$` moves at end of tape, along letter moves and
+    then `$` moves while reading.  The initial node is looked up even when
+    its state is dead (`dead_start`), since the trim keeps it."""
+    made, seen = [], []
+    real_edge, real_moves, real_index = decide.PhaseEdge, decide._moves, decide._index
+
+    def counting_edge(*args):
+        made.append(None)
+        return real_edge(*args)
+
+    monkeypatch.setattr(decide, "PhaseEdge", counting_edge)
+    monkeypatch.setattr(decide, "_moves", lambda m: _LookupSpy(real_moves(m), seen))
+    monkeypatch.setattr(decide, "_index", lambda m: _LookupSpy(real_index(m), seen))
+    hand = _control_dead_machines()
+    machines = (corpus_machines + [lr_machine(R) for R in range(1, 41)]
+                + hand + [enforce_reversal_control(m) for m in hand])
+    for m in machines:
+        made.clear()
+        seen.clear()
+        pa = build_phase_automaton(m)
+        assert len(made) == len(pa.edges), m.name
+        live_read, live_eot = _live_sets(m)
+        assert seen, m.name
+        for q, sym in seen:
+            live = live_eot if sym == EOT else live_read | {m.initial}
+            assert q in live, (m.name, q, sym)
 
 
 def _proof_route_answers(machines, words, pairs):
