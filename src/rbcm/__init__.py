@@ -31,6 +31,7 @@ from .decide import (
     is_empty,
     is_infinite,
     linear_feasible,
+    make_non_exiting,
     member,
     parikh_image,
     prefix_free_check_machine,
@@ -49,7 +50,6 @@ from .constructions import (
     inverse_insertion_ncm,
     inverse_prefix_dcm1,
     left_quotient_word,
-    make_non_exiting,
     product_intersection,
     strip_end_marker_one_counter,
 )

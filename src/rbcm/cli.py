@@ -17,7 +17,7 @@ from . import constructions, decide, transducer
 from .corpus import CATALOG, corpus_text, load_corpus
 from .errors import MachineError, ParseError, PreconditionViolated
 from .fileformat import parse_machine, serialize_machine
-from .machine import CounterMachine, run_deterministic, validate_machine
+from .machine import run_deterministic, validate_machine
 from .regular import dfa_from_machine
 from .transducer import CounterTransducer, validate_transducer
 
@@ -220,7 +220,7 @@ _OPS = {
     "boolean_and": ("mm", lambda a, b: constructions.boolean_dcm(a, b, "and")),
     "boolean_or": ("mm", lambda a, b: constructions.boolean_dcm(a, b, "or")),
     "strip_end_marker_one_counter": ("m", constructions.strip_end_marker_one_counter),
-    "make_non_exiting": ("m", constructions.make_non_exiting),
+    "make_non_exiting": ("m", decide.make_non_exiting),
     "concat_pf_dcmne_dcm": ("mm", constructions.concat_pf_dcmne_dcm),
     "concat_dcmne_regular": ("md", constructions.concat_dcmne_regular),
     "concat_dcm1_regular": ("md", constructions.concat_dcm1_regular),

@@ -21,11 +21,11 @@ from .machine import (
     build_machine, combine_budgets, enforce_reversal_control, no_stay_into_final,
     run_deterministic, stay_acyclic_check, totalize_dead_state,
 )
-from .decide import prefix_free_check_machine, rational_feasible
 from .regular import (
     Dfa, UnaryDFA, align_unary_family, full_dfa, machine_from_dfa, periodic_to_unary,
     prefix_free_check_dfa, validate_dfa,
 )
+from .ilp import rational_feasible
 
 
 def _check_alphabets(a, b):
@@ -187,11 +187,16 @@ def stay_runs_terminate(m: CounterMachine) -> bool:
     return True
 
 
+def _stays_end(me: CounterMachine) -> bool:
+    """`me`'s stay runs provably end: acyclic over guards, or by the LP."""
+    return stay_acyclic_check(me) or stay_runs_terminate(me)
+
+
 def _complement(m: CounterMachine) -> CounterMachine:
     if not m.deterministic:
         raise PreconditionViolated("complement needs a deterministic machine")
     me = enforce_reversal_control(m)
-    if not stay_runs_terminate(me):
+    if not _stays_end(me):
         raise PreconditionViolated(
             "complement needs provably terminating stay runs")
     me = totalize_dead_state(me)
@@ -236,8 +241,8 @@ def boolean_dcm(m1: CounterMachine, m2, mode: str) -> CounterMachine:
     if not (m1.deterministic and m2.deterministic):
         raise PreconditionViolated("boolean_dcm needs deterministic machines")
     if op == "and":
-        if not stay_runs_terminate(enforce_reversal_control(m1)):
-            if stay_runs_terminate(enforce_reversal_control(m2)):
+        if not _stays_end(enforce_reversal_control(m1)):
+            if _stays_end(enforce_reversal_control(m2)):
                 m1, m2 = m2, m1
             else:
                 raise PreconditionViolated(
@@ -433,19 +438,6 @@ def _is_non_exiting(m: CounterMachine) -> bool:
     return not any(t.src in m.finals for t in m.transitions)
 
 
-def make_non_exiting(m: CounterMachine) -> CounterMachine:
-    """Drop transitions out of final states; exact for prefix-free
-    languages of unmarked deterministic machines (raises otherwise)."""
-    if m.marked or any(t.symbol == EOT for t in m.transitions):
-        raise PreconditionViolated("make_non_exiting needs an unmarked machine")
-    if not m.deterministic:
-        raise PreconditionViolated("make_non_exiting needs a deterministic machine")
-    if not prefix_free_check_machine(m):
-        raise NotPrefixFree(f"language of {m.name} is not prefix-free")
-    return replace(
-        m, transitions=tuple(t for t in m.transitions if t.src not in m.finals))
-
-
 def concat_pf_dcmne_dcm(m1: CounterMachine, m2: CounterMachine) -> CounterMachine:
     """Concatenation where the first machine is non-exiting (so its
     language is prefix-free): entering a final of the first machine jumps
@@ -485,16 +477,14 @@ def concat_pf_dcmne_dcm(m1: CounterMachine, m2: CounterMachine) -> CounterMachin
 
 def prepare_for_regular_concat(m: CounterMachine) -> CounterMachine:
     """Budget-explicit, total machine with no stays into finals whose
-    stay runs all terminate: the shape the subset construction below
-    needs.  The cheap acyclicity check runs first; a machine with a stay
-    cycle is still accepted when `stay_runs_terminate` certifies it (a
-    drain such as `q b p -> q S -1`)."""
+    stay runs all terminate (`_stays_end`): the shape the subset
+    construction below needs."""
     if m.marked or any(t.symbol == EOT for t in m.transitions):
         raise PreconditionViolated("regular concatenation needs an unmarked machine")
     if not m.deterministic:
         raise PreconditionViolated("regular concatenation needs determinism")
     me = enforce_reversal_control(m)
-    if not stay_acyclic_check(me) and not stay_runs_terminate(me):
+    if not _stays_end(me):
         raise PreconditionViolated(
             "machine has a stay cycle that may not terminate; cannot totalize")
     return totalize_dead_state(no_stay_into_final(me))

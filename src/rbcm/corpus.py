@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import UnknownEntry
+from .fileformat import parse_machine
 
 _TABLES = {
     "M_ab": (
@@ -84,8 +85,6 @@ def corpus_text(name: str) -> str:
 
 def load_corpus(name: str) -> CorpusEntry:
     """Load a bundled entry by name; raises UnknownEntry otherwise."""
-    from .fileformat import parse_machine
-
     text = corpus_text(name)
     return CorpusEntry(
         name=name,

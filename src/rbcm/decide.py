@@ -4,14 +4,14 @@ The proof route: abstract runs into a finite phase automaton, explored
 straight from the machine, in which each counter is split into
 one-reversal sub-counters whose modes track "still zero / rising /
 falling / back at zero", and settle questions with integer feasibility
-checks.  Emptiness, and with it membership past the run search,
-comparison and prefix-freeness, asks for edge counts of one path to an
-accepting node (`rbcm.flow`), which also spell the witness; no word
-search answers it.  Infinity and the Parikh image compute the Parikh
-image of the path language by state elimination over a semilinear-set
-algebra and check its linear sets.  The written-out split,
-`to_one_reversal`, is an exported construction only: no decision
-procedure builds it.
+checks (`rbcm.ilp`).  Emptiness, and with it membership past the run
+search, comparison and prefix-freeness, asks for edge counts of one path
+to an accepting node, which also spell the witness; no word search
+answers it.  Infinity and the Parikh image compute the Parikh image of
+the path language by state elimination over a semilinear-set algebra and
+check its linear sets.  The written-out split, `to_one_reversal`, is an
+exported construction only.  Products and complements come from
+`rbcm.constructions`, and `make_non_exiting` sits beside prefix-freeness.
 """
 
 from __future__ import annotations
@@ -19,18 +19,19 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from dataclasses import dataclass, replace
 
-from .errors import InfiniteBudget
+from .errors import InfiniteBudget, NotPrefixFree, PreconditionViolated
 from .machine import (
     DIR_DOWN, EOT, POS, RIGHT, STAY, ZERO,
     CounterMachine, Transition, _index, _moves, _reachable,
     all_guards, annotate_budgets, fresh_budgets, run_deterministic,
 )
 from .regular import word_dfa
+from .ilp import _integer_point, rational_feasible
+from .constructions import (
+    boolean_dcm, concat_ncm, intersect_regular, product_intersection, sigma_plus_machine,
+)
 
 # ---------------------------------------------------------------------------
 # semilinear sets
@@ -107,52 +108,6 @@ def sl_star(a: SemilinearSet) -> SemilinearSet:
 # integer feasibility over linear-set multipliers
 
 
-def rational_feasible(eqs, ges, n):
-    """A rational x >= 0 (a list of n Fractions) with row . x == rhs for
-    every (row, rhs) in eqs and row . x >= rhs for every one in ges, or
-    None when no such x exists.
-
-    Phase one of the simplex method with Bland's rule (least entering
-    column, least leaving variable on ties), so it cannot cycle.  Pivots
-    are fraction-free, each row divided by the gcd of its entries.  Each
-    row starts with an artificial basic variable, or its slack if it is a
-    >= row with rhs <= 0; artificial columns are never stored, since one
-    that leaves the basis stays at 0.
-    """
-    width = n + len(ges)               # x, then one slack per >= row
-    tab, basis = [], []                # rows (coefficients, rhs >= 0); basic columns
-    for i, (row, rhs) in enumerate(itertools.chain(eqs, ges)):
-        r = list(row) + [0] * len(ges) + [rhs]
-        slack = n + i - len(eqs)
-        if slack >= n:
-            r[slack] = -1
-        basic = slack if slack >= n and rhs <= 0 else None
-        tab.append([-c for c in r] if rhs < 0 or basic is not None else r)
-        basis.append(basic)
-    # last row: the phase-one objective, the artificial rows' sum up to a
-    # positive factor; raising column j lowers it iff its entry is > 0
-    tab.append([sum(col) for col in zip([0] * (width + 1), *(
-        r for r, b in zip(tab, basis) if b is None))])
-    while tab[-1][-1]:
-        enter = next((j for j in range(width) if tab[-1][j] > 0), None)
-        if enter is None:
-            return None
-        leave = min((i for i, r in enumerate(tab[:-1]) if r[enter] > 0), key=lambda i: (
-            Fraction(tab[i][-1], tab[i][enter]), width + i if basis[i] is None else basis[i]))
-        prow = tab[leave]
-        p = prow[enter]
-        for i, r in enumerate(tab):
-            a = r[enter]
-            if i != leave and a:
-                r = [p * c - a * pc for c, pc in zip(r, prow)]
-                g = gcd(*r) or 1
-                tab[i] = [c // g for c in r]
-        basis[leave] = enter
-    row_of = dict(zip(basis, tab))
-    return [Fraction(row_of[j][-1], row_of[j][j]) if j in row_of else Fraction(0)
-            for j in range(n)]
-
-
 def _multiplier_rows(c: LinearSet, constraints):
     """c's sorted periods, and the constraints as (row, rhs) rows over
     their multipliers n: eqs for row . n == rhs, ges for row . n >= rhs."""
@@ -173,105 +128,13 @@ def _multiplier_rows(c: LinearSet, constraints):
     return periods, eqs, ges
 
 
-def _lattice(eqs, n):
-    """The integer solutions of row . x == rhs, every (row, rhs) in eqs,
-    as (x0, kernel) with x = x0 + sum_j t_j * kernel[j] for integer t, or
-    None.  x = U y with U unimodular: Euclid by column operations on U,
-    each column kept with its entries in the rows (A U), leaves each row
-    one free coefficient, which fixes one y; the other columns span the
-    kernel."""
-    cols = [[int(i == j) for i in range(n)] + [row[j] for row, _ in eqs] for j in range(n)]
-    fixed = []
-    for k, (_, rhs) in enumerate(eqs, n):  # cols[j][k]: the row's entry in column j
-        p = len(fixed)
-        while True:
-            nz = [j for j in range(p, n) if cols[j][k]]
-            if len(nz) < 2:
-                break
-            j = min(nz, key=lambda j: abs(cols[j][k]))
-            for i in nz:
-                q = cols[i][k] // cols[j][k] if i != j else 0
-                if q:
-                    cols[i] = [a - q * b for a, b in zip(cols[i], cols[j])]
-        rest = rhs - sum(col[k] * y for col, y in zip(cols, fixed))
-        if not nz:
-            if rest:
-                return None
-            continue                       # a combination of earlier rows
-        j = nz[0]
-        if rest % cols[j][k]:
-            return None
-        fixed.append(rest // cols[j][k])
-        cols[p], cols[j] = cols[j], cols[p]
-    x0 = [sum(y * col[i] for y, col in zip(fixed, cols)) for i in range(n)]
-    return x0, [col[:n] for col in cols[len(fixed):]]
-
-
-def _integer_point(eqs, ges, n):
-    """A list of n integers x >= 0 with row . x == rhs for every (row, rhs)
-    in eqs and row . x >= rhs for every one in ges, or None.
-
-    Branch-and-bound over a range [lo, hi] per coordinate.  A node's
-    lattice x0 + K t also fixes the coordinates with lo == hi.  Its LP runs
-    over x with the equality rows, each >= rhs raised to the next value
-    its row takes on the lattice: the gcd rounding of the row over
-    t = u - v, without doubling the variables.  Before a node branches, a
-    coordinate its LP point leaves at lo is fixed there if no rational
-    point has it one higher."""
-    x = rational_feasible(eqs, ges, n)    # most systems settle here
-    if x is None or all(v.denominator == 1 for v in x):
-        return None if x is None else [int(v) for v in x]
-    m = len(eqs) + len(ges)
-    a = max([1] + [abs(v) for row, r in itertools.chain(eqs, ges) for v in (*row, r)])
-    # Papadimitriou (JACM 1981): an integer solution, if any, has one with
-    # entries at most this (m rows, entries at most a, a slack per >= row)
-    box = (n + len(ges)) * (m * a) ** (2 * m + 1)
-    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    queue = deque([((0,) * n, (None,) * n)])   # per x_i: least, greatest value
-    while queue:
-        lo, hi = queue.popleft()
-        free = [i for i in range(n) if lo[i] != hi[i]]
-        node_eqs = eqs + [(unit[i], lo[i]) for i in range(n) if lo[i] == hi[i]]
-        lattice = _lattice(node_eqs, n)
-        if lattice is None:
-            continue
-        x0, kernel = lattice
-
-        def rounded(row, rhs):
-            g = gcd(*(sum(map(operator.mul, row, col)) for col in kernel))
-            return row, (rhs + (sum(map(operator.mul, row, x0)) - rhs) % g if g else rhs)
-
-        rows = [rounded(r, b) for r, b in ges]
-        rows += [r for r in (rounded(unit[i], lo[i]) for i in free) if r[1] > 0]  # x >= 0 is the LP's
-        rows += [rounded(tuple(-v for v in unit[i]), -hi[i]) for i in free if hi[i] is not None]
-        x = rational_feasible(node_eqs, rows, n)
-        if x is None:
-            continue
-        i = next((i for i, v in enumerate(x) if v.denominator != 1), None)
-        if i is None:
-            return [int(v) for v in x]
-        pinned = {j for j in free if x[j] == lo[j] and rational_feasible(
-            node_eqs, rows + [rounded(unit[j], lo[j] + 1)], n) is None}
-        if pinned:
-            queue.appendleft((lo, tuple(lo[j] if j in pinned else hi[j] for j in range(n))))
-            continue
-        f = x[i].numerator // x[i].denominator
-        queue.append((lo, hi[:i] + (min(f, box),) + hi[i + 1:]))
-        if f < box:
-            queue.append((lo[:i] + (f + 1,) + lo[i + 1:], hi))
-    return None
-
-
 def linear_feasible(c: LinearSet, constraints):
     """Find non-negative integer multipliers of c's periods meeting the
     constraints, or None.
 
     Constraints are (coeffs, op, rhs) triples over the vector space, with
-    op one of '==', '>=', '<='.  Exact: the equality rows are solved over
-    the integers (x = x0 + K t), then branch-and-bound on the lattice calls
-    `rational_feasible` breadth-first.  Every branch bound is clipped to
-    Papadimitriou's box, which holds a solution if any exists, so each
-    branch shrinks an integer range and the search is finite.
+    op one of '==', '>=', '<='.  Exact: `_integer_point` solves the rows
+    over the multipliers.
     """
     periods, eqs, ges = _multiplier_rows(c, constraints)
     sol = _integer_point(eqs, ges, len(periods))
@@ -702,6 +565,139 @@ def _end_mode_constraints(modes, k, dims):
 
 
 # ---------------------------------------------------------------------------
+# edge counts: emptiness verdicts and witnesses
+#
+# The language is empty iff no integer flow to an accepting node meets the
+# node's end-mode rows (`_accepting_counts`), the only route to an
+# emptiness verdict.  An Euler path over the counts spells the witness.
+
+
+def _stray_component(initial, edges):
+    """The nodes of the first weakly connected component of `edges`, in
+    edge order, that misses `initial`; None when every edge meets it."""
+    links = [(e.src, e.dst) for e in edges]
+    links += [(v, u) for u, v in links]
+    near = _reachable([initial], links)
+    for u, _ in links:
+        if u not in near:
+            return _reachable([u], links)
+    return None
+
+
+def _chains(cols, ends):
+    """`cols` cut into maximal chains whose inner nodes have one edge in
+    and one out and are not in `ends`, in edge order.  A cycle of such
+    nodes touches no other edge, so it can never join a path from the
+    initial node, and it is left out."""
+    ins, outs = {}, {}
+    for e in cols:
+        ins.setdefault(e.dst, []).append(e)
+        outs.setdefault(e.src, []).append(e)
+
+    def inner(v):
+        return v not in ends and len(ins.get(v, ())) == 1 and len(outs.get(v, ())) == 1
+
+    chains = []
+    for e in cols:
+        if inner(e.src):
+            continue
+        chain = [e]
+        while inner(chain[-1].dst):
+            chain.append(outs[chain[-1].dst][0])
+        chains.append(chain)
+    return chains
+
+
+def _flow_counts(pa: PhaseAutomaton, target):
+    """(edge, count) pairs, count >= 1, of a path from the initial node
+    to `target` that meets the target's end-mode rows, or None when there
+    is none.
+
+    One integer variable per edge, solved by `_integer_point`: at every
+    node in - out = [v = target] - [v = initial], and each row of
+    `_end_mode_constraints` over the edges' increments and decrements
+    (Verma, Seidl and Schwentick, CADE 2005).  Only edges from which
+    `target` is reachable take part, and the edges of a chain through
+    nodes of one edge in and one out share one variable, since
+    conservation makes their counts equal.  Connectivity is lazy.  When
+    the used edges leave a weakly connected component C that misses the
+    initial node, the search branches: either no edge touching C is used
+    (their columns are dropped), or some edge entering C is (one >= 1
+    row).  Both exclude the point found, and no branch meets the same C
+    again, so the search ends.
+    """
+    ends = _end_mode_constraints(target[1], pa.k, 2 * pa.k)
+    co = _reachable([target], [(e.dst, e.src) for e in pa.edges])
+    branches = [([e for e in pa.edges if e.dst in co], ())]  # (columns, edge-id sets used >= once)
+    while branches:
+        cols, entries = branches.pop()
+        chains = _chains(cols, (pa.initial, target))
+        n = len(chains)
+        at = {pa.initial: [0] * n, target: [0] * n}
+        for j, chain in enumerate(chains):
+            at.setdefault(chain[0].src, [0] * n)[j] -= 1
+            at.setdefault(chain[-1].dst, [0] * n)[j] += 1
+        eqs = [(row, (v == target) - (v == pa.initial)) for v, row in at.items()]
+        ges = [([int(any(e.eid in entry for e in chain)) for chain in chains], 1)
+               for entry in entries]
+        for coeffs, op, rhs in ends:
+            row = [sum(sum(map(operator.mul, coeffs, e.incs + e.decs)) for e in chain)
+                   for chain in chains]
+            (eqs if op == "==" else ges).append((row, rhs))
+        x = _integer_point(eqs, ges, n)
+        if x is None:
+            continue
+        used = [(e, c) for chain, c in zip(chains, x) if c for e in chain]
+        stray = _stray_component(pa.initial, [e for e, _ in used])
+        if stray is None:
+            return used
+        entering = frozenset(e.eid for e in cols if e.src not in stray and e.dst in stray)
+        if entering:
+            branches.append((cols, entries + (entering,)))
+        branches.append(([e for e in cols if e.src not in stray and e.dst not in stray],
+                         entries))
+    return None
+
+
+def _euler_word(initial, used) -> str:
+    """The letters along an Euler path from `initial` that takes each
+    edge as often as its count (Hierholzer's algorithm, linear in the
+    path's length).  Modes only move forward, so every order of the edges
+    that forms a path is a run: each sub-counter rises before it falls,
+    stays >= 1 while it falls (its end row leaves it >= 1, or one
+    decrement still to come into Z1), and is 0 in Z1."""
+    outs = {}
+    for e, c in used:
+        outs.setdefault(e.src, []).append([e, c])
+    stack, path = [(initial, None)], []
+    while stack:
+        v, via = stack[-1]
+        out = outs.get(v)
+        if out:
+            slot = out[-1]
+            slot[1] -= 1
+            if not slot[1]:
+                out.pop()
+            stack.append((slot[0].dst, slot[0]))
+        else:
+            stack.pop()
+            if via is not None:
+                path.append(via)
+    return "".join(e.letter for e in reversed(path) if e.letter is not None)
+
+
+def _accepting_counts(pa: PhaseAutomaton):
+    """The edge counts `_flow_counts` finds for the first accepting node,
+    in repr order, that has any; None iff no path to an accepting node
+    meets its end-mode rows, that is, iff the language is empty."""
+    for target in sorted(pa.accepting, key=repr):
+        used = _flow_counts(pa, target)
+        if used is not None:
+            return used
+    return None
+
+
+# ---------------------------------------------------------------------------
 # membership search for nondeterministic machines
 
 
@@ -795,8 +791,6 @@ def _ncm_explore(m: CounterMachine, targets, cap):
 
 
 def _member_pipeline(m: CounterMachine, word: str) -> bool:
-    from .constructions import intersect_regular
-    from .flow import _accepting_counts
     return _accepting_counts(build_phase_automaton(
         intersect_regular(m, word_dfa(word, m.alphabet)))) is not None
 
@@ -870,7 +864,6 @@ def is_empty(m: CounterMachine, want_witness: bool = True):
     "empty" verdict has no run-time check.  A machine without a finite
     reversal budget raises InfiniteBudget.
     """
-    from .flow import _accepting_counts, _euler_word   # compiled on first use
     pa = build_phase_automaton(m)
     used = _accepting_counts(pa)
     if used is None:
@@ -967,7 +960,6 @@ def semilinear_member(s: SemilinearSet, vec) -> bool:
 def compare(m1: CounterMachine, m2: CounterMachine, mode: str):
     """Language comparison.  mode 'subset' checks L(m1) <= L(m2); 'equal'
     checks both directions.  Returns (verdict, counterexample|None)."""
-    from .constructions import boolean_dcm, product_intersection
     if mode not in ("subset", "equal"):
         raise ValueError(f"unknown compare mode {mode!r}")
 
@@ -986,7 +978,6 @@ def compare(m1: CounterMachine, m2: CounterMachine, mode: str):
 
 def prefix_free_check_machine(m: CounterMachine) -> bool:
     """True iff no accepted word is a proper prefix of another."""
-    from .constructions import concat_ncm, product_intersection, sigma_plus_machine
     # Cheap counterexample probe: any proper-prefix pair among short
     # accepted words settles the question without the product build.
     # A miss proves nothing; the certificate below is the real check.
@@ -998,3 +989,16 @@ def prefix_free_check_machine(m: CounterMachine) -> bool:
     prod = product_intersection(m, extended)
     empty, _ = is_empty(prod, want_witness=False)
     return empty
+
+
+def make_non_exiting(m: CounterMachine) -> CounterMachine:
+    """Drop transitions out of final states; exact for prefix-free
+    languages of unmarked deterministic machines (raises otherwise)."""
+    if m.marked or any(t.symbol == EOT for t in m.transitions):
+        raise PreconditionViolated("make_non_exiting needs an unmarked machine")
+    if not m.deterministic:
+        raise PreconditionViolated("make_non_exiting needs a deterministic machine")
+    if not prefix_free_check_machine(m):
+        raise NotPrefixFree(f"language of {m.name} is not prefix-free")
+    return replace(
+        m, transitions=tuple(t for t in m.transitions if t.src not in m.finals))

@@ -17,7 +17,7 @@ import operator
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import InfiniteBudget, NondeterministicInput, PreconditionViolated
 

@@ -25,7 +25,7 @@ compares every component with every other: the reference for
 `decide.is_empty` took before edge counts: integer feasibility of the
 end-mode rows over each linear set of `decide._parikh_paths`, whose
 reference is `min_scan_paths`.  It is the reference for the edge-count
-verdicts of `flow._accepting_counts`.
+verdicts of `decide._accepting_counts`.
 
 `phase_automaton_reference` is the phase automaton built the eager way:
 the whole one-reversal split `to_one_reversal(m)` written out first, then

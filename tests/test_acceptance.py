@@ -20,6 +20,7 @@ from rbcm.corpus import CATALOG, corpus_text, load_corpus
 from rbcm.decide import (
     enumerate_words,
     is_empty,
+    make_non_exiting,
     member,
     parikh_image,
     prefix_free_check_machine,
@@ -121,7 +122,7 @@ def test_criterion_01_construction_oracles(capsys):
             key = id(mm)
             if key not in ne_cache:
                 try:
-                    ne_cache[key] = cons.make_non_exiting(mm)
+                    ne_cache[key] = make_non_exiting(mm)
                 except MachineError as exc:
                     ne_cache[key] = exc
             val = ne_cache[key]
@@ -312,7 +313,7 @@ def _anbnc_machine():
 
 def test_criterion_03_budget_contracts(capsys):
     with criterion(capsys, 3, "construction budget contracts"):
-        pf = cons.make_non_exiting(_anbnc_machine())
+        pf = make_non_exiting(_anbnc_machine())
         m2 = dataclasses.replace(load_corpus("M_ab").artifact,
                                  alphabet=("a", "b", "c"))
         cat = cons.concat_pf_dcmne_dcm(pf, m2)

@@ -177,12 +177,12 @@ def test_witness_solver_failure_is_an_internal_error(tmp_path, monkeypatch, caps
     """L_2's shortest word has seven letters, past the probe: when the
     Euler walk over the edge counts spells a word the machine rejects,
     `empty --witness` fails loudly, not with a false witness."""
-    from rbcm import flow
+    from rbcm import decide
     from randgen import lr_machine
     f = tmp_path / "L_2.mach"
     f.write_text(serialize_machine(lr_machine(2)))
     assert run_cli(["empty", str(f), "--witness"]) == 1
-    monkeypatch.setattr(flow, "_euler_word", lambda initial, used: "aaaabbcc")
+    monkeypatch.setattr(decide, "_euler_word", lambda initial, used: "aaaabbcc")
     assert run_cli(["empty", str(f)]) == 1
     assert run_cli(["empty", str(f), "--witness"]) == 5
     assert "internal error: AssertionError" in capsys.readouterr().err

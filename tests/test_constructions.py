@@ -14,14 +14,13 @@ from rbcm.constructions import (
     inverse_insertion_ncm,
     inverse_prefix_dcm1,
     left_quotient_word,
-    make_non_exiting,
     prepare_for_regular_concat,
     product_intersection,
     stay_runs_terminate,
     strip_end_marker_one_counter,
 )
 from rbcm.corpus import load_corpus
-from rbcm.decide import enumerate_words, is_empty, member
+from rbcm.decide import enumerate_words, is_empty, make_non_exiting, member
 from rbcm.errors import NotPrefixFree
 from rbcm.fileformat import parse_machine
 from rbcm.machine import (
@@ -31,7 +30,7 @@ from rbcm.machine import (
 from rbcm.regular import Dfa, full_dfa, machine_from_dfa, word_dfa
 
 from oracles import (
-    concat_language, naive_language, naive_member, stay_cycles_terminate,
+    concat_language, lasso_run, naive_language, naive_member, stay_cycles_terminate,
     words_upto,
 )
 from randgen import machine_pool, rand_machine
@@ -138,6 +137,37 @@ def test_complement_certifies_parallel_stay_edges():
         run, run_neg = run_deterministic(m, w), run_deterministic(neg, w)
         assert "diverge" not in (run.verdict, run_neg.verdict), w
         assert (run.verdict == "accept") != (run_neg.verdict == "accept"), w
+
+
+# The stay `q a z -> q S +1` rises, so the circulation LP, which ignores
+# guards, cannot certify it; but it leaves the counter positive, so it
+# never fires twice in a row, and the stay graph over guards has no cycle.
+GUARDED_RISING_STAY = """\
+machine guarded_rising_stay
+kind dcm
+acceptance unmarked
+counters 1
+reversals 1
+alphabet a
+states q r
+initial q
+final r
+trans q a z -> q S +1
+trans q a p -> r R -1
+trans r a z -> q S 0
+"""
+
+
+def test_boolean_ops_accept_stays_acyclic_over_guards():
+    m = parse_machine(GUARDED_RISING_STAY)
+    me = enforce_reversal_control(m)
+    assert stay_acyclic_check(me) and not stay_runs_terminate(me)
+    neg, both = boolean_dcm(m, None, "not"), boolean_dcm(m, m, "and")
+    for w in words_upto("a", 7):
+        expect = lasso_run(m, w)[0] == "accept"
+        assert member(neg, w) != expect, w
+        assert member(both, w) == expect, w
+    prepare_for_regular_concat(m)
 
 
 def test_strip_end_marker_examples(m_ab):

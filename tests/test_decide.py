@@ -15,7 +15,7 @@ from rbcm.constructions import (
 )
 from rbcm.corpus import CATALOG, load_corpus
 from rbcm.errors import InfiniteBudget
-from rbcm import decide, flow
+from rbcm import decide
 from rbcm.fileformat import parse_machine
 from rbcm.decide import (
     _ncm_explore,
@@ -400,8 +400,8 @@ def test_flow_witness_reads_l_r_words():
 
 
 def _flow_witness(pa):
-    used = flow._accepting_counts(pa)
-    return None if used is None else flow._euler_word(pa.initial, used)
+    used = decide._accepting_counts(pa)
+    return None if used is None else decide._euler_word(pa.initial, used)
 
 
 def test_flow_witness_exists_iff_nonempty(corpus_machines, monkeypatch):
@@ -413,14 +413,14 @@ def test_flow_witness_exists_iff_nonempty(corpus_machines, monkeypatch):
             + machine_pool(4243, 50, alphabet="ab", deterministic=False)
             + machine_pool(4244, 50, alphabet="a"))
     branched = []
-    stray_component = flow._stray_component
+    stray_component = decide._stray_component
 
     def spy(initial, edges):
         found = stray_component(initial, edges)
         branched.append(found is not None)
         return found
 
-    monkeypatch.setattr(flow, "_stray_component", spy)
+    monkeypatch.setattr(decide, "_stray_component", spy)
     for m in pool:
         pa = build_phase_automaton(m)
         # a probe hit settles the machines whose Parikh image is too large
@@ -588,7 +588,7 @@ def test_parikh_image_is_the_same_in_every_process():
             "from randgen import lr_machine, machine_pool\n"
             "from rbcm.corpus import CATALOG, load_corpus\n"
             "from rbcm.decide import build_phase_automaton, is_empty, parikh_image\n"
-            "from rbcm.flow import _accepting_counts, _euler_word\n"
+            "from rbcm.decide import _accepting_counts, _euler_word\n"
             "m = load_corpus('M_neq').artifact\n"
             "print([(c.base, sorted(c.periods)) for c in parikh_image(m)])\n"
             "print(is_empty(lr_machine(2)))\n"
