@@ -54,9 +54,9 @@ def intersect_regular(m: CounterMachine, d: Dfa) -> CounterMachine:
     transitions = []
     while work:
         q, s = src = work.pop()
-        for t in by_src.get(q, ()):
-            dst = (t.dst, d.delta[s, t.symbol] if t.move == RIGHT else s)
-            transitions.append(Transition(src, t.symbol, t.guard, dst, t.move, t.deltas, t.output))
+        for _, sym, guard, t_dst, move, deltas, output in by_src.get(q, ()):
+            dst = (t_dst, d.delta[s, sym] if move == RIGHT else s)
+            transitions.append(Transition(src, sym, guard, dst, move, deltas, output))
             if dst not in seen:
                 seen.add(dst)
                 work.append(dst)
@@ -90,7 +90,7 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
     seen = {init}
     work = [init]
     has_eot = any(t.symbol == EOT for t in m1e.transitions + m2e.transitions)
-    split2 = {}     # (q2, sym) -> (g2, stays, rights) per guard of component two
+    split1, split2 = {}, {}     # (q, sym) -> _split_moves of that component
     while work:
         st = work.pop()
         q1, q2, f1, f2 = st
@@ -102,33 +102,24 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
                 work.append(dst)
 
         for sym in m1e.alphabet:
+            rows1 = split1.get((q1, sym))
+            if rows1 is None:
+                rows1 = split1[q1, sym] = _split_moves(i1, q1, sym, k1)
             rows2 = split2.get((q2, sym))
             if rows2 is None:
-                by_guard = i2.get((q2, sym), {})
-                rows2 = split2[q2, sym] = []
-                for g2 in all_guards(k2):
-                    t2s = by_guard.get(g2, ())
-                    rows2.append((g2, [t for t in t2s if t.move == STAY],
-                                  [t for t in t2s if t.move == RIGHT]))
-            for g1 in all_guards(k1):
-                t1s = i1.get((q1, sym), {}).get(g1, ())
-                s1 = [t for t in t1s if t.move == STAY]
-                r1 = [t for t in t1s if t.move == RIGHT]
+                rows2 = split2[q2, sym] = _split_moves(i2, q2, sym, k2)
+            for g1, s1, r1 in rows1:
                 for g2, s2, r2 in rows2:
                     guard = g1 + g2
-                    for t in s1:
-                        emit2(sym, guard, (t.dst, q2, t.dst in F1, f2),
-                              STAY, t.deltas + z2)
+                    for dst, deltas in s1:
+                        emit2(sym, guard, (dst, q2, dst in F1, f2), STAY, deltas + z2)
                     if det and s1:
                         continue    # deterministic: component one stays first
-                    for t in s2:
-                        emit2(sym, guard, (q1, t.dst, f1, t.dst in F2),
-                              STAY, z1 + t.deltas)
-                    for ta in r1:
-                        for tb in r2:
-                            emit2(sym, guard,
-                                  (ta.dst, tb.dst, ta.dst in F1, tb.dst in F2),
-                                  RIGHT, ta.deltas + tb.deltas)
+                    for dst, deltas in s2:
+                        emit2(sym, guard, (q1, dst, f1, dst in F2), STAY, z1 + deltas)
+                    for da, dla in r1:
+                        for db, dlb in r2:
+                            emit2(sym, guard, (da, db, da in F1, db in F2), RIGHT, dla + dlb)
         if has_eot:
             # A deterministic product schedules the component that still
             # needs to accept: a component that already has its flag may
@@ -153,6 +144,18 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
         f"({m1.name}&{m2.name})", k1 + k2, combine_budgets(m1.l, m2.l),
         m1e.alphabet, init, finals, transitions,
         deterministic=det)
+
+
+def _split_moves(idx, q, sym, k):
+    """(guard, stays, rights) per guard of the moves out of q on sym, each
+    move a (dst, deltas) pair."""
+    by_guard = idx.get((q, sym), {})
+    rows = []
+    for g in all_guards(k):
+        ts = by_guard.get(g, ())
+        rows.append((g, [(t.dst, t.deltas) for t in ts if t.move == STAY],
+                     [(t.dst, t.deltas) for t in ts if t.move == RIGHT]))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +207,13 @@ def _complement(m: CounterMachine) -> CounterMachine:
     F = me.finals
     ok = ("complement_ok",)
     transitions = []
-    for t in me.transitions:
-        is_eot = t.symbol == EOT
-        in_f = t.dst in F
+    for src, sym, guard, dst, move, deltas, output in me.transitions:
+        is_eot = sym == EOT
+        in_f = dst in F
         for f in (False, True):
             transitions.append(Transition(
-                (t.src, f), t.symbol, t.guard,
-                (t.dst, (f or in_f) if is_eot else in_f), t.move, t.deltas,
-                t.output))
+                (src, f), sym, guard, (dst, (f or in_f) if is_eot else in_f),
+                move, deltas, output))
     for q in me.states:
         for g in all_guards(me.k):
             if not idx.get((q, EOT), {}).get(g, ()):
@@ -656,22 +658,18 @@ def concat_ncm(m1: CounterMachine, m2: CounterMachine) -> CounterMachine:
     def b(q):
         return ("b", q)
 
-    for t in m1e.transitions:
-        if t.symbol == EOT:
-            for src in (a(t.src), e(t.src)):
+    for q, sym, guard, dst, move, deltas, _ in m1e.transitions:
+        guard, deltas = guard + zg2, deltas + z2
+        if sym == EOT:
+            for src in (a(q), e(q)):
                 for x in m1e.alphabet:
-                    transitions.append(Transition(
-                        src, x, t.guard + zg2, e(t.dst), STAY,
-                        t.deltas + z2))
-                transitions.append(Transition(
-                    src, EOT, t.guard + zg2, e(t.dst), STAY,
-                    t.deltas + z2))
+                    transitions.append(Transition(src, x, guard, e(dst), STAY, deltas))
+                transitions.append(Transition(src, EOT, guard, e(dst), STAY, deltas))
         else:
-            dst_fresh = t.move == RIGHT
+            dst_fresh = move == RIGHT
             for fresh in (True, False):
                 transitions.append(Transition(
-                    a(t.src, fresh), t.symbol, t.guard + zg2,
-                    a(t.dst, dst_fresh), t.move, t.deltas + z2))
+                    a(q, fresh), sym, guard, a(dst, dst_fresh), move, deltas))
     m2_initial_ts = [t for t in m2e.transitions
                      if t.src == m2e.initial and t.symbol != EOT
                      and t.guard == ZERO * k2]
@@ -684,15 +682,13 @@ def concat_ncm(m1: CounterMachine, m2: CounterMachine) -> CounterMachine:
                         z1 + t.deltas))
                 transitions.append(Transition(
                     src, EOT, g1 + zg2, b(m2e.initial), STAY, z1 + z2))
-    for t in m2e.transitions:
+    for src, sym, guard, dst, move, deltas, _ in m2e.transitions:
+        src, dst, deltas = b(src), b(dst), z1 + deltas
         for g1 in all_guards(k1):
-            transitions.append(Transition(
-                b(t.src), t.symbol, g1 + t.guard, b(t.dst), t.move,
-                z1 + t.deltas))
+            transitions.append(Transition(src, sym, g1 + guard, dst, move, deltas))
     initial = ("start",)
     a0 = a(m1e.initial)
-    transitions += [Transition(initial, t.symbol, t.guard, t.dst, t.move, t.deltas, t.output)
-                    for t in transitions if t.src == a0]
+    transitions += [t._replace(src=initial) for t in transitions if t.src == a0]
     finals = {b(f) for f in m2e.finals}
     return build_machine(
         f"({m1.name}.{m2.name})", k1 + k2, combine_budgets(m1.l, m2.l),
@@ -719,11 +715,11 @@ def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> Counte
         # fresh states where no peek is pending.
         sink = ("post",)
         transitions = []
-        for t in me.transitions:
-            dst = (t.dst, t.move == RIGHT)
+        for src, sym, guard, dst, move, deltas, output in me.transitions:
+            dst = (dst, move == RIGHT)
             for fresh in (True, False):
                 transitions.append(Transition(
-                    (t.src, fresh), t.symbol, t.guard, dst, t.move, t.deltas, t.output))
+                    (src, fresh), sym, guard, dst, move, deltas, output))
         for f in me.finals:
             for x in me.alphabet:
                 for g in all_guards(k):
@@ -741,8 +737,7 @@ def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> Counte
         transitions = list(me.transitions)
         for x in me.alphabet:
             transitions.append(Transition(skip, x, ZERO * k, skip, RIGHT, (0,) * k))
-        transitions += [Transition(skip, t.symbol, t.guard, t.dst, t.move, t.deltas, t.output)
-                        for t in me.transitions if t.src == me.initial]
+        transitions += [t._replace(src=skip) for t in me.transitions if t.src == me.initial]
         finals = set(me.finals)
         if me.initial in me.finals:
             finals.add(skip)
@@ -763,16 +758,15 @@ def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> Counte
     # opening a gap is only allowed when the simulated machine has no
     # pending peek at the current letter.
     transitions = []
-    for t in me.transitions:
-        sym, guard, move, deltas, output = t.symbol, t.guard, t.move, t.deltas, t.output
+    for src, sym, guard, dst, move, deltas, output in me.transitions:
         for g in range(gaps + 1):
             for fresh in (True, False):
                 transitions.append(Transition(
-                    (t.src, "sim", g, fresh), sym, guard,
-                    (t.dst, "sim", g, fresh if sym == EOT else move == RIGHT),
+                    (src, "sim", g, fresh), sym, guard,
+                    (dst, "sim", g, fresh if sym == EOT else move == RIGHT),
                     move, deltas, output))
             transitions.append(Transition(
-                (t.src, "gap", g), sym, guard, (t.dst, "sim", g, move == RIGHT),
+                (src, "gap", g), sym, guard, (dst, "sim", g, move == RIGHT),
                 move, deltas, output))
     for q in me.states:
         for g in range(gaps):

@@ -378,23 +378,23 @@ def build_phase_automaton(m: CounterMachine) -> PhaseAutomaton:
     def steps(state, sym, guard):
         """(target, move, sub-counter deltas) of the moves on sym."""
         if plain:
-            return [(t.dst, t.move, t.deltas)
-                    for t in index.get((state, sym), {}).get(guard, ())]
+            ts = index.get((state, sym), {}).get(guard, ())
+            return [(dst, move, deltas) for _, _, _, dst, move, deltas, _ in ts]
         q, budgets = state
         status = statuses.get(guard)
         if status is None:
             status = statuses[guard] = tuple(POS in guard[i:i + p] for i in blocks)
         out = []
-        for t, nb in table[q, sym, status, budgets]:
-            key = (t.deltas, budgets, guard)
+        for _, nb, dst, move, deltas in table[q, sym, status, budgets]:
+            key = (deltas, budgets, guard)
             if key in subs:
                 sub = subs[key]
             else:
                 parts = [_sub_deltas(d, entry, guard[i:i + p])
-                         for i, d, entry in zip(blocks, t.deltas, budgets)]
+                         for i, d, entry in zip(blocks, deltas, budgets)]
                 sub = subs[key] = None if None in parts else sum(parts, ())
             if sub is not None:
-                out.append(((t.dst, nb), t.move, sub))
+                out.append(((dst, nb), move, sub))
         return out
 
     def add_edge(src, dst, letter, deltas):
@@ -766,21 +766,21 @@ def _ncm_explore(m: CounterMachine, targets, cap):
         if look == EOT and state in finals:
             accepted.add(node)
             continue
-        for t, nb in moves_at[state, look, tuple(map(bool, counters)), budgets]:
-            nc = tuple(map(add, counters, t.deltas))
+        for _, nb, dst, move, deltas in moves_at[state, look, tuple(map(bool, counters)), budgets]:
+            nc = tuple(map(add, counters, deltas))
             if nc and max(nc) > cap:
                 if look == EOT:
                     cut_at.add(node)
                 else:
                     cut_below.add(child[node, look])
                 continue
-            if t.move == STAY:
-                cfg = (node, look, t.dst, nc, nb)
+            if move == STAY:
+                cfg = (node, look, dst, nc, nb)
                 if cfg not in seen:
                     seen.add(cfg)
                     work.append(cfg)
             elif look != EOT:       # validate_machine forbids moving on EOT
-                fork(child[node, look], t.dst, nc, nb)
+                fork(child[node, look], dst, nc, nb)
     if not exhausted:
         for (node, _), nxt in child.items():    # parents come first
             if node in cut_below:

@@ -229,12 +229,12 @@ def serialize_machine(obj) -> str:
     spelled = {}    # deltas -> their text
     no_output = ' output ""' if out_alphabet is not None else ""
     body = set()
-    for t in m.transitions:
-        deltas = spelled.get(t.deltas)
-        if deltas is None:
-            deltas = spelled[t.deltas] = " ".join(map(str, t.deltas)) if k else "-"
-        body.add(f"trans {names[t.src]} {t.symbol} {t.guard if k else '-'} -> "
-                 f"{names[t.dst]} {t.move} {deltas}"
-                 + (f' output "{t.output}"' if t.output else no_output))
+    for src, symbol, guard, dst, move, deltas, output in m.transitions:
+        text = spelled.get(deltas)
+        if text is None:
+            text = spelled[deltas] = " ".join(map(str, deltas)) if k else "-"
+        body.add(f"trans {names[src]} {symbol} {guard if k else '-'} -> "
+                 f"{names[dst]} {move} {text}"
+                 + (f' output "{output}"' if output else no_output))
     lines.extend(sorted(body))
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ import operator
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InfiniteBudget, NondeterministicInput, PreconditionViolated
 
@@ -33,8 +33,10 @@ DIR_UP = "u"
 DIR_DOWN = "d"
 
 
-@dataclass(frozen=True, slots=True)
-class Transition:
+class Transition(NamedTuple):
+    """One move, compared and hashed by value; `t._replace(...)` copies
+    it with some fields changed."""
+
     src: object
     symbol: str          # letter or EOT
     guard: str           # k chars, each 'z' or 'p'
@@ -220,16 +222,16 @@ def validate_machine(m: CounterMachine) -> list:
         seen_syms.add(a)
     states = m.states
     shapes = {}     # (symbol, guard, deltas, move) -> its violations
-    for t in m.transitions:
-        shape = (t.symbol, t.guard, t.deltas, t.move)
+    for src, symbol, guard, dst, move, deltas, _ in m.transitions:
+        shape = (symbol, guard, deltas, move)
         bad = shapes.get(shape)
         if bad is None:
             bad = shapes[shape] = _shape_violations(m, *shape)
-        if bad or t.src not in states or t.dst not in states:
-            where = f"transition {t.src!r} --{t.symbol}/{t.guard}-->"
-            if t.src not in states:
+        if bad or src not in states or dst not in states:
+            where = f"transition {src!r} --{symbol}/{guard}-->"
+            if src not in states:
                 errs.append(f"{where} source not in state set")
-            if t.dst not in states:
+            if dst not in states:
                 errs.append(f"{where} target not in state set")
             errs += [f"{where} {e}" for e in bad]
     if m.deterministic:
@@ -274,12 +276,14 @@ def _index(m: CounterMachine):
 
 
 class _MoveTable(dict):
-    """(state, symbol, status, budgets) -> the ((transition, new budgets),
-    ...) moves that the guard and the reversal budget allow there, filled
-    on first lookup.  `status` holds `bool(c)` per counter (counters are
-    never negative: validate_machine rejects a decrement under a zero
-    guard).  The keys are finite: budgets are bounded for a finite `l`
-    and keep directions only for `l` None."""
+    """(state, symbol, status, budgets) -> the moves that the guard and
+    the reversal budget allow there, filled on first lookup, each a plain
+    (transition, new budgets, dst, move, deltas) tuple: the step loops
+    unpack it and never read a field of the transition, which costs
+    twice a slot read on a tuple subclass.  `status` holds `bool(c)` per
+    counter (counters are never negative: validate_machine rejects a
+    decrement under a zero guard).  The keys are finite: budgets are
+    bounded for a finite `l` and keep directions only for `l` None."""
 
     __slots__ = ("index", "l")
 
@@ -293,9 +297,10 @@ class _MoveTable(dict):
         guard = "".join([POS if s else ZERO for s in status])
         moves = []
         for t in self.index.get((state, symbol), {}).get(guard, ()):
-            nb = _step_budgets(budgets, t.deltas, self.l)
+            deltas = t.deltas
+            nb = _step_budgets(budgets, deltas, self.l)
             if nb is not None:
-                moves.append((t, nb))
+                moves.append((t, nb, t.dst, t.move, deltas))
         moves = self[key] = tuple(moves)
         return moves
 
@@ -317,9 +322,9 @@ def applicable_steps(m, config, symbol):
     """All (transition, successor) pairs respecting guards and budgets."""
     counters = config.counters
     moves = _moves(m)[config.state, symbol, tuple(map(bool, counters)), config.budgets]
-    return [(t, Configuration(t.dst, config.consumed + (t.move == RIGHT),
-                              apply_deltas(counters, t.deltas), nb))
-            for t, nb in moves]
+    return [(t, Configuration(dst, config.consumed + (move == RIGHT),
+                              apply_deltas(counters, deltas), nb))
+            for t, nb, dst, move, deltas in moves]
 
 
 def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
@@ -368,8 +373,8 @@ def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
                 raise NondeterministicInput(f"multiple transitions applicable from {state!r}")
             rows.append((state, consumed, counters, budgets, None))
             return RunTrace(RunSteps(rows), "reject")
-        t, nb = moves[0]
-        if t.move == RIGHT:
+        t, nb, dst, move, deltas = moves[0]
+        if move == RIGHT:
             # the row is taken before the bump: it holds the configuration before the move
             rows.append((state, consumed, counters, budgets, t))
             consumed += 1
@@ -391,7 +396,7 @@ def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
                 entries.clear()     # none of them can qualify later (see above)
             entries.append((t2, counters))
             rows.append((state, consumed, counters, budgets, t))
-        state, counters, budgets = t.dst, tuple(map(add, counters, t.deltas)), nb
+        state, counters, budgets = dst, tuple(map(add, counters, deltas)), nb
 
 
 def accepts(m: CounterMachine, word: str) -> bool:
@@ -428,21 +433,20 @@ def enforce_reversal_control(m: CounterMachine) -> CounterMachine:
             steps = after[bud] = {}
         for sym in symbols:
             for guard, ts in idx.get((q, sym), {}).items():
-                for t in ts:
+                for _, _, _, t_dst, move, deltas, output in ts:
                     try:
-                        nb = steps[t.deltas]
+                        nb = steps[deltas]
                     except KeyError:
-                        nb = steps[t.deltas] = _step_budgets(bud, t.deltas, m.l)
+                        nb = steps[deltas] = _step_budgets(bud, deltas, m.l)
                     if nb is None:
                         continue
-                    key = (t.dst, nb)
+                    key = (t_dst, nb)
                     dst = pairs.get(key)
                     if dst is None:
                         dst = pairs[key] = key
                         states.add(key)
                         work.append(key)
-                    transitions.append(Transition(
-                        src, t.symbol, t.guard, dst, t.move, t.deltas, t.output))
+                    transitions.append(Transition(src, sym, guard, dst, move, deltas, output))
     finals = frozenset(s for s in states if s[0] in m.finals)
     return CounterMachine(
         name=m.name + "_rc",

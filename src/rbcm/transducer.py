@@ -120,25 +120,25 @@ def inverse_apply(t: CounterTransducer, a: CounterMachine) -> CounterMachine:
         if sealed:
             for ga in all_guards(ka):
                 for tr in ia.get((qa, EOT), {}).get(ga, ()):
+                    dst, deltas = (qt, "", tr.dst, True), zt + tr.deltas
                     for gt in all_guards(kt):
-                        push(EOT, gt + ga, (qt, "", tr.dst, True), STAY,
-                             zt + tr.deltas)
+                        push(EOT, gt + ga, dst, STAY, deltas)
             continue
         if buf:
             for ga in all_guards(ka):
                 for tr in ia.get((qa, buf[0]), {}).get(ga, ()):
-                    nbuf = buf[1:] if tr.move == RIGHT else buf
+                    dst = (qt, buf[1:] if tr.move == RIGHT else buf, tr.dst, False)
+                    deltas = zt + tr.deltas
                     for gt in all_guards(kt):
                         for x in in_syms:
-                            push(x, gt + ga, (qt, nbuf, tr.dst, False), STAY,
-                                 zt + tr.deltas)
+                            push(x, gt + ga, dst, STAY, deltas)
             continue
         for sym in in_syms:
             for gt in all_guards(kt):
-                for tr in it.get((qt, sym), {}).get(gt, ()):
+                for _, _, _, t_dst, move, deltas, output in it.get((qt, sym), {}).get(gt, ()):
+                    dst, deltas = (t_dst, output, qa, False), deltas + za
                     for ga in all_guards(ka):
-                        push(sym, gt + ga, (tr.dst, tr.output, qa, False),
-                             tr.move, tr.deltas + za)
+                        push(sym, gt + ga, dst, move, deltas)
         if qt in mt.finals:
             for gt in all_guards(kt):
                 for ga in all_guards(ka):

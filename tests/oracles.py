@@ -2,10 +2,10 @@
 
 `naive_member` is a breadth-first configuration search written from the
 acceptance definition alone; it shares no code with the engine under
-test.  It is exact for machines whose stay transitions never increase a
-counter (all bundled and generated machines satisfy this), because then
-counter values are bounded by the word length and the configuration
-space is finite.
+test.  It is exact when no stay transition that increases a counter lies
+on a cycle of stay moves on its symbol, because then counter values are
+bounded in the word length (see `stay_counter_cap`) and the
+configuration space is finite.
 
 `lasso_run` is the deterministic run with the full stay-segment lasso
 scan, the reference for `machine.run_deterministic`'s verdicts, traces
@@ -97,11 +97,58 @@ def _bump(entry, delta):
     return (want, used + 1)
 
 
-def naive_member(m, word, node_cap=2_000_000):
-    """Breadth-first search for an accepting configuration."""
+def _status_after(guard, deltas):
+    """Every guard a counter vector under `guard` may have after `deltas`."""
+    options = []
+    for g, d in zip(guard, deltas):
+        if g == ZERO:
+            options.append(POS if d > 0 else ZERO)
+        else:
+            options.append(ZERO + POS if d < 0 else POS)
+    return ["".join(g) for g in itertools.product(*options)]
+
+
+def stay_counter_cap(m, n):
+    """The largest value a counter can take in a run on n letters:
+    n + (n + 1) * s, where s counts the stay transitions that increment
+    a counter.  Raises ValueError when one of them lies on a cycle of
+    stay moves on its symbol.
+
+    The stay moves on one symbol form a graph over (state, guard) nodes:
+    a move goes from its (source, guard) to its target under each guard
+    its deltas may leave.  A run takes stay moves on a single symbol
+    between two consuming moves (and on the end marker after the last),
+    so a move that fired twice there would close a walk from its node
+    back to itself.  A move on no cycle therefore fires at most once in
+    each of the n + 1 stretches, and it and each of the n consuming
+    moves add at most 1 to a counter.
+    """
+    succ = {}
+    incs = []
     for t in m.transitions:
-        if t.move == STAY and any(d > 0 for d in t.deltas):
-            raise ValueError("oracle needs stay transitions with deltas <= 0")
+        if t.move == STAY:
+            succ.setdefault((t.symbol, t.src, t.guard), []).extend(
+                (t.symbol, t.dst, g) for g in _status_after(t.guard, t.deltas))
+            if any(d > 0 for d in t.deltas):
+                incs.append(t)
+    for t in incs:
+        home = (t.symbol, t.src, t.guard)
+        seen = set()
+        work = [(t.symbol, t.dst, g) for g in _status_after(t.guard, t.deltas)]
+        while work:
+            node = work.pop()
+            if node == home:
+                raise ValueError("oracle needs every incrementing stay off the stay cycles")
+            if node not in seen:
+                seen.add(node)
+                work += succ.get(node, ())
+    return n + (n + 1) * len(incs)
+
+
+def naive_member(m, word, node_cap=2_000_000):
+    """Breadth-first search for an accepting configuration, with every
+    counter at most `stay_counter_cap` (checked, not assumed)."""
+    cap = stay_counter_cap(m, len(word))
     start = (m.initial, 0, (0,) * m.k, ((DIR_NONE, 0),) * m.k)
     seen = {start}
     queue = deque([start])
@@ -128,6 +175,8 @@ def naive_member(m, word, node_cap=2_000_000):
                 tuple(c + d for c, d in zip(counters, t.deltas)),
                 nb,
             )
+            if max(nxt[2], default=0) > cap:
+                raise AssertionError(f"counter bound {cap} broken")
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

@@ -4,8 +4,9 @@ Machines have at most 4 states, at most 2 counters, reversal budget 1
 and an alphabet of at most 2 letters.  Stay transitions never increase a
 counter, which keeps the naive oracle exact and rules out unbounded
 stay pumping.  `stay_up=True` lifts that restriction for the tests of
-the deterministic run: stay moves may then add +1, and half of them loop
-on their source state, which gives pumps and terminating drains.
+the deterministic run and of membership: stay moves may then add +1,
+and half of them loop on their source state, which gives pumps and
+terminating drains.
 
 `eot_machine` draws one-counter machines for the end-of-tape tests: up
 to 8 states whose `$` moves mostly fall, rarely a final state, and a

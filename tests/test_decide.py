@@ -60,6 +60,7 @@ from oracles import (
     ncm_explore_reference,
     pairwise_dedup,
     phase_automaton_reference,
+    stay_counter_cap,
     window_feasible,
     words_upto,
 )
@@ -430,6 +431,41 @@ def test_flow_witness_exists_iff_nonempty(corpus_machines, monkeypatch):
         if w is not None:
             assert member(m, w) and naive_member(m, w), (m.name, w)
     assert any(branched)
+
+
+def test_member_matches_oracle_with_stay_increments():
+    """`naive_member` bounds the counters once no incrementing stay lies
+    on a stay cycle over (state, guard) nodes, so `member` is checked on
+    such machines too: one whose incrementing stay loops on its state but
+    leaves its guard, and pool draws with l = 1 and 2."""
+    m = CounterMachine(
+        "stay_inc", 1, 1, frozenset({"q", "r"}), ("a",), "q", frozenset({"r"}),
+        (Transition("q", "a", "z", "q", STAY, (1,)),
+         Transition("q", "a", "p", "r", RIGHT, (-1,)),
+         Transition("r", "a", "z", "q", STAY, (0,))),
+        False, True)
+    assert stay_counter_cap(m, 7) == 7 + 8
+    assert [member(m, "a" * n) for n in range(8)] == [n == 1 for n in range(8)]
+    for n in range(8):
+        assert naive_member(m, "a" * n) == (n == 1), n
+    checked, refused, verdicts = 0, 0, set()
+    for det in (True, False):
+        for l in (1, 2):
+            for m in machine_pool(8100 + l, 60, stay_up=True, deterministic=det, l=l):
+                if not any(t.move == STAY and max(t.deltas, default=0) > 0
+                           for t in m.transitions):
+                    continue
+                try:
+                    stay_counter_cap(m, 0)
+                except ValueError:
+                    refused += 1
+                    continue
+                checked += 1
+                for w in words_upto(m.alphabet, 5):
+                    got = member(m, w)
+                    assert got == naive_member(m, w), (m.name, w)
+                    verdicts.add(got)
+    assert checked >= 30 and refused >= 30 and verdicts == {True, False}, (checked, refused)
 
 
 def test_member_and_enumerate_agree_on_corpus(corpus_machines):

@@ -180,7 +180,7 @@ def _file_layer_samples():
         m = rand_machine(rng, max_k=3, deterministic=i % 2 == 0, name=f"draw{i}")
         if i % 3 == 0:
             m = replace(m, transitions=tuple(
-                replace(t, output=rng.choice(("", "x", "xy", "yx"))) for t in m.transitions))
+                t._replace(output=rng.choice(("", "x", "xy", "yx"))) for t in m.transitions))
             m = CounterTransducer(m, ("x", "y"))
         objs.append(m)
     mab, mab1, pf = (load_corpus(n).artifact for n in ("M_ab", "M_ab1", "pf_ab"))

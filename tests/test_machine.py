@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import sys
 import time
@@ -383,6 +384,92 @@ def test_enforce_reversal_control_matches_reference(det_pool, nondet_pool):
             assert got.initial is member[got.initial]
             for t in got.transitions:
                 assert t.src is member[t.src] and t.dst is member[t.dst], (m.name, l, t)
+
+
+def _budget_space(m):
+    """Every budget annotation that `_step_budgets` reaches from the fresh
+    one under the machine's deltas."""
+    from rbcm.machine import _step_budgets, fresh_budgets
+    deltas = {t.deltas for t in m.transitions}
+    seen = {fresh_budgets(m.k)}
+    work = list(seen)
+    while work:
+        budgets = work.pop()
+        for d in deltas:
+            nb = _step_budgets(budgets, d, m.l)
+            if nb is not None and nb not in seen:
+                seen.add(nb)
+                work.append(nb)
+    return seen
+
+
+def test_move_table_entries_unpack_to_their_transition():
+    """Every `_moves(m)` entry is a plain (t, nb, dst, move, deltas) tuple
+    whose last three items are t's fields and whose nb is t's step of the
+    budgets; the entries at a key are the transitions of that (state,
+    symbol, guard) that the budget allows, in index order.  The tables
+    are filled by the run, the run search and the phase automaton first,
+    then by a sweep over every key."""
+    from rbcm.decide import _ncm_explore, build_phase_automaton
+    from rbcm.machine import _index, _moves, _step_budgets
+    machines = [getattr(e, "machine", e) for e in
+                (load_corpus(name).artifact for name in CATALOG)]
+    machines += [lr_machine(R) for R in range(1, 7)]
+    machines += machine_pool(2020, 8) + machine_pool(2021, 8, deterministic=False, l=2)
+    machines += machine_pool(2022, 4, l=None, stay_up=True)
+    entries = 0
+    for m in machines:
+        table = _moves(m)
+        words = list(words_upto(m.alphabet, 3))
+        if m.deterministic:
+            for w in words:
+                run_deterministic(m, w)
+        else:
+            _ncm_explore(m, words, cap=4)
+        if m.l is not None:
+            build_phase_automaton(m)
+        filled = len(table)
+        symbols = tuple(m.alphabet) + (EOT,)
+        statuses = list(itertools.product((False, True), repeat=m.k))
+        for budgets in _budget_space(m):
+            for q in m.states:
+                for sym in symbols:
+                    for status in statuses:
+                        table[q, sym, status, budgets]
+        assert filled and len(table) >= filled, m.name
+        index = _index(m)
+        for (q, sym, status, budgets), moves in table.items():
+            guard = "".join("p" if s else "z" for s in status)
+            want = [t for t in index.get((q, sym), {}).get(guard, ())
+                    if _step_budgets(budgets, t.deltas, m.l) is not None]
+            assert [e[0] for e in moves] == want, (m.name, q, sym, status, budgets)
+            for entry in moves:
+                assert type(entry) is tuple and len(entry) == 5, (m.name, entry)
+                t, nb, dst, move, deltas = entry
+                assert (dst, move, deltas) == (t.dst, t.move, t.deltas), (m.name, t)
+                assert nb == _step_budgets(budgets, t.deltas, m.l), (m.name, t, budgets)
+                entries += 1
+    assert entries > 1000, entries
+
+
+def test_transition_is_an_immutable_value():
+    """Equal fields give equal transitions with equal hashes; no field can
+    be assigned; `key` and `_replace` work."""
+    a = Transition("q", "a", "zp", ("r", 1), RIGHT, (1, 0))
+    b = Transition("q", "a", "zp", ("r", 1), RIGHT, (1, 0), "")
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a.output == "" and a.key() == ("q", "a", "zp")
+    assert a != a._replace(output="x") and a._replace(dst=("r", 1)) == a
+    c = a._replace(src="s", deltas=(0, -1))
+    assert (c.src, c.symbol, c.guard, c.dst, c.move, c.deltas) == \
+        ("s", "a", "zp", ("r", 1), RIGHT, (0, -1))
+    assert c.key() == ("s", "a", "zp") and a.src == "q"
+    assert len({a, b, c}) == 2
+    for field in ("src", "dst", "deltas", "output"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        a.extra = 1
 
 
 def test_member_matches_oracle_on_nondet_machines(nondet_pool):

@@ -36,7 +36,7 @@ def test_validate_transducer_accepts_corpus(t_shuffle):
 
 def test_validate_transducer_flags_stray_output_letter(t_shuffle):
     bad_trans = tuple(
-        dataclasses.replace(tr, output="x") if tr.output else tr
+        tr._replace(output="x") if tr.output else tr
         for tr in t_shuffle.machine.transitions
     )
     bad = CounterTransducer(
@@ -105,7 +105,7 @@ def test_inverse_apply_shuffle_against_anbn(t_shuffle, m_ab):
 
 def _identity_transducer(m: CounterMachine) -> CounterTransducer:
     trans = tuple(
-        tr if tr.symbol == "$" else dataclasses.replace(tr, output=tr.symbol)
+        tr if tr.symbol == "$" else tr._replace(output=tr.symbol)
         for tr in m.transitions
     )
     return CounterTransducer(
