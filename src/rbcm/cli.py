@@ -174,7 +174,7 @@ def _cmd_empty(args, rep):
 def _cmd_infinite(args, rep):
     m = _load_machine(args.file)
     _require_finite(m)
-    inf = decide.is_infinite(m)
+    inf, rep.details["route"] = decide.is_infinite(m, want_route=True)
     rep.say("infinite" if inf else "finite")
     return rep.finish("infinite" if inf else "finite", EXIT_TRUE if inf else EXIT_FALSE)
 

@@ -7,9 +7,9 @@ falling / back at zero", and settle questions with integer feasibility
 checks (`rbcm.ilp`).  Emptiness, and with it membership past the run
 search, comparison and prefix-freeness, asks for edge counts of one path
 to an accepting node, which also spell the witness; no word search
-answers it.  Infinity and the Parikh image compute the Parikh image of
-the path language by state elimination over a semilinear-set algebra and
-check its linear sets.  The written-out split, `to_one_reversal`, is an
+answers it.  Infinity asks for edge counts of such a path and of a pump
+on its edges.  Only `parikh_image` runs state elimination, over a
+semilinear-set algebra.  The written-out split, `to_one_reversal`, is an
 exported construction only.  Products and complements come from
 `rbcm.constructions`, and `make_non_exiting` sits beside prefix-freeness.
 """
@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import operator
 from dataclasses import dataclass, replace
 
 from .errors import InfiniteBudget, NotPrefixFree, PreconditionViolated
 from .machine import (
     DIR_DOWN, EOT, POS, RIGHT, STAY, ZERO,
-    CounterMachine, Transition, _index, _moves, _reachable,
+    CounterMachine, Transition, _components, _index, _moves, _reachable,
     all_guards, annotate_budgets, fresh_budgets, run_deterministic,
 )
 from .regular import word_dfa
@@ -141,14 +142,6 @@ def linear_feasible(c: LinearSet, constraints):
     return None if sol is None else dict(zip(periods, sol))
 
 
-def realize(c: LinearSet, multipliers) -> tuple:
-    vec = list(c.base)
-    for p, n in multipliers.items():
-        for i, x in enumerate(p):
-            vec[i] += n * x
-    return tuple(vec)
-
-
 # ---------------------------------------------------------------------------
 # minimal non-negative integer solutions (Contejean-Devie completion)
 
@@ -188,11 +181,8 @@ def hilbert_solutions(rows, nvars):
                 nxt.append(child)
         frontier = nxt
     # prune to an antichain
-    out = []
-    for z in minimals:
-        if not any(w != z and all(w[j] <= z[j] for j in range(nvars)) for w in minimals):
-            out.append(z)
-    return out
+    return [z for z in minimals
+            if not any(w != z and all(w[j] <= z[j] for j in range(nvars)) for w in minimals)]
 
 
 def solve_diophantine(eqs, nvars):
@@ -530,24 +520,17 @@ def _parikh_paths(pa: PhaseAutomaton, target, weight, dims):
     return graph.get(src, {}).get(snk, ())
 
 
-def _weight_counters_letters(pa: PhaseAutomaton, per_letter: bool):
-    """Weight map: inc_i, dec_i, then letter counts (or one total)."""
-    k = pa.k
-    letters = sorted(pa.alphabet) if per_letter else None
-    dims = 2 * k + (len(letters) if per_letter else 1)
+def _weight_counters_letters(pa: PhaseAutomaton):
+    """Weight map: inc_i, dec_i, then one count per letter, sorted."""
+    letters = sorted(pa.alphabet)
 
     def weight(e):
-        v = list(e.incs) + list(e.decs)
-        if per_letter:
-            rest = [0] * len(letters)
-            if e.letter is not None:
-                rest[letters.index(e.letter)] = 1
-            v += rest
-        else:
-            v.append(0 if e.letter is None else 1)
-        return tuple(v)
+        rest = [0] * len(letters)
+        if e.letter is not None:
+            rest[letters.index(e.letter)] = 1
+        return e.incs + e.decs + tuple(rest)
 
-    return weight, dims
+    return weight, 2 * pa.k + len(letters)
 
 
 def _end_mode_constraints(modes, k, dims):
@@ -565,11 +548,11 @@ def _end_mode_constraints(modes, k, dims):
 
 
 # ---------------------------------------------------------------------------
-# edge counts: emptiness verdicts and witnesses
+# edge counts: emptiness and infinity verdicts, witnesses
 #
 # The language is empty iff no integer flow to an accepting node meets the
-# node's end-mode rows (`_accepting_counts`), the only route to an
-# emptiness verdict.  An Euler path over the counts spells the witness.
+# node's end-mode rows (`_accepting_counts`), and infinite iff one also
+# carries a pump (`_pump_counts`).  An Euler path over counts spells a word.
 
 
 def _stray_component(initial, edges):
@@ -608,10 +591,28 @@ def _chains(cols, ends):
     return chains
 
 
-def _flow_counts(pa: PhaseAutomaton, target):
-    """(edge, count) pairs, count >= 1, of a path from the initial node
-    to `target` that meets the target's end-mode rows, or None when there
-    is none.
+def _chain_rows(chains, source, sink, cons):
+    """(eqs, ges) over one variable per chain: in - out = [v = sink] -
+    [v = source] at every node, and each (coeffs, op, rhs) of `cons` over
+    the chains' increments and decrements."""
+    n = len(chains)
+    at = {v: [0] * n for v in (source, sink) if v is not None}
+    for j, chain in enumerate(chains):
+        at.setdefault(chain[0].src, [0] * n)[j] -= 1
+        at.setdefault(chain[-1].dst, [0] * n)[j] += 1
+    eqs = [(row, (v == sink) - (v == source)) for v, row in at.items()]
+    ges = []
+    for coeffs, op, rhs in cons:
+        row = [sum(sum(map(operator.mul, coeffs, e.incs + e.decs)) for e in chain)
+               for chain in chains]
+        (eqs if op == "==" else ges).append((row, rhs))
+    return eqs, ges
+
+
+def _flow_counts(pa: PhaseAutomaton, target, cover=frozenset(), pump=None):
+    """(used, pumped) for a path from the initial node to `target` that
+    meets the target's end-mode rows, or None when there is none: `used`
+    holds its (edge, count) pairs, count >= 1.
 
     One integer variable per edge, solved by `_integer_point`: at every
     node in - out = [v = target] - [v = initial], and each row of
@@ -625,32 +626,41 @@ def _flow_counts(pa: PhaseAutomaton, target):
     (their columns are dropped), or some edge entering C is (one >= 1
     row).  Both exclude the point found, and no branch meets the same C
     again, so the search ends.
+
+    For `_pump_counts`, a chain holding an edge whose id is in `cover`
+    gets a row x_j >= 1, and a `pump` system (chains, eqs, ges) adds its
+    columns and rows, and per pump edge: path count >= pump count.
+    `pumped` holds the pump's (edge, count) pairs.
     """
     ends = _end_mode_constraints(target[1], pa.k, 2 * pa.k)
+    pchains, peqs, pges = pump or ((), [], [])
+    width = len(pchains)
     co = _reachable([target], [(e.dst, e.src) for e in pa.edges])
     branches = [([e for e in pa.edges if e.dst in co], ())]  # (columns, edge-id sets used >= once)
     while branches:
         cols, entries = branches.pop()
         chains = _chains(cols, (pa.initial, target))
         n = len(chains)
-        at = {pa.initial: [0] * n, target: [0] * n}
-        for j, chain in enumerate(chains):
-            at.setdefault(chain[0].src, [0] * n)[j] -= 1
-            at.setdefault(chain[-1].dst, [0] * n)[j] += 1
-        eqs = [(row, (v == target) - (v == pa.initial)) for v, row in at.items()]
-        ges = [([int(any(e.eid in entry for e in chain)) for chain in chains], 1)
-               for entry in entries]
-        for coeffs, op, rhs in ends:
-            row = [sum(sum(map(operator.mul, coeffs, e.incs + e.decs)) for e in chain)
-                   for chain in chains]
-            (eqs if op == "==" else ges).append((row, rhs))
-        x = _integer_point(eqs, ges, n)
+        holder = {e.eid: j for j, chain in enumerate(chains) for e in chain}
+        if not holder.keys() >= cover:
+            continue
+        eqs, ges = _chain_rows(chains, pa.initial, target, ends)
+        ges[:0] = [([int(any(e.eid in entry for e in chain)) for chain in chains], 1)
+                   for entry in entries]
+        ges += [([int(i == j) for i in range(n)], 1) for j in sorted({holder[i] for i in cover})]
+        if pump:
+            eqs = [(r + [0] * width, b) for r, b in eqs] + [([0] * n + r, b) for r, b in peqs]
+            ges = [(r + [0] * width, b) for r, b in ges] + [([0] * n + r, b) for r, b in pges]
+            ges += [([int(i == j) for i in range(n)] + [-int(i == q) for i in range(width)], 0)
+                    for j, q in dict.fromkeys((holder.get(e.eid), q)
+                                              for q, chain in enumerate(pchains) for e in chain)]
+        x = _integer_point(eqs, ges, n + width)
         if x is None:
             continue
         used = [(e, c) for chain, c in zip(chains, x) if c for e in chain]
         stray = _stray_component(pa.initial, [e for e, _ in used])
         if stray is None:
-            return used
+            return used, [(e, c) for chain, c in zip(pchains, x[n:]) if c for e in chain]
         entering = frozenset(e.eid for e in cols if e.src not in stray and e.dst in stray)
         if entering:
             branches.append((cols, entries + (entering,)))
@@ -691,10 +701,51 @@ def _accepting_counts(pa: PhaseAutomaton):
     in repr order, that has any; None iff no path to an accepting node
     meets its end-mode rows, that is, iff the language is empty."""
     for target in sorted(pa.accepting, key=repr):
-        used = _flow_counts(pa, target)
-        if used is not None:
-            return used
+        found = _flow_counts(pa, target)
+        if found is not None:
+            return found[0]
     return None
+
+
+def _pump_counts(pa: PhaseAutomaton):
+    """(route, used, pumped): edge counts of a path to an accepting node t
+    meeting t's end-mode rows, and of a pump, a circulation on the path's
+    edges reading a letter and meeting the rows with 0 on the right;
+    (route, None, None) iff none exist, that is, iff the language is
+    finite (path + n * pump is a path for every n; Dickson's lemma over
+    ever longer paths gives the converse).  Per accepting node, in repr
+    order, each step exact for what it returns: "no pump", an LP over the
+    edges on a cycle that reach t (chains cut at one node per strongly
+    connected component, so that a simple cycle keeps its column) is
+    infeasible; "pump flow", a path uses every chain of the LP pump's
+    support; "pump and flow", t has a path but no covering one, so path
+    and pump are solved together.  The route is the step that found the
+    pair, else the deepest run."""
+    comp = _components([(e.src, e.dst) for e in pa.edges])
+    route = "no pump"
+    for target in sorted(pa.accepting, key=repr):
+        co = _reachable([target], [(e.dst, e.src) for e in pa.edges])
+        pchains = _chains([e for e in pa.edges if e.dst in co and comp[e.src] == comp[e.dst]],
+                          set(comp.values()))
+        eqs, ges = _chain_rows(pchains, None, None, [
+            (c, op, 0) for c, op, _ in _end_mode_constraints(target[1], pa.k, 2 * pa.k)])
+        ges.append(([sum(e.letter is not None for e in chain) for chain in pchains], 1))
+        y = rational_feasible(eqs, ges, len(pchains))
+        if y is None:
+            continue
+        scale = math.lcm(*(v.denominator for v in y))
+        pumped = [(e, c) for chain, c in zip(pchains, (int(v * scale) for v in y)) if c
+                  for e in chain]
+        found = _flow_counts(pa, target, frozenset(e.eid for e, _ in pumped))
+        if found is not None:
+            return "pump flow", found[0], pumped
+        if _flow_counts(pa, target) is None:
+            continue
+        route = "pump and flow"
+        found = _flow_counts(pa, target, pump=(pchains, eqs, ges))
+        if found is not None:
+            return (route, *found)
+    return route, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -873,33 +924,18 @@ def is_empty(m: CounterMachine, want_witness: bool = True):
     return False, _verified(m, _euler_word(pa.initial, used))
 
 
-def is_infinite(m: CounterMachine) -> bool:
-    """True iff the language is infinite: some feasible component admits
-    a direction that keeps all side conditions and adds input letters."""
-    pa = build_phase_automaton(m)
-    weight, dims = _weight_counters_letters(pa, per_letter=False)
-    letters = [0] * dims
-    letters[-1] = 1
-    for node in sorted(pa.accepting, key=repr):
-        cons = _end_mode_constraints(node[1], pa.k, dims)
-        relaxed = [(c, op, 0) for c, op, _ in cons]
-        for comp in _parikh_paths(pa, node, weight, dims):
-            if linear_feasible(comp, cons) is None:
-                continue
-            grow = relaxed + [(tuple(letters), ">=", 1)]
-            # homogeneous but for letters >= 1: scaled by its denominators,
-            # a rational direction is an integer one, so the LP is exact
-            _, eqs, ges = _multiplier_rows(LinearSet((0,) * dims, comp.periods), grow)
-            if rational_feasible(eqs, ges, len(comp.periods)) is not None:
-                return True
-    return False
+def is_infinite(m: CounterMachine, want_route: bool = False):
+    """True iff the language is infinite, from edge counts of a path and
+    a pump (`_pump_counts`); with `want_route`, (verdict, route)."""
+    route, used, _ = _pump_counts(build_phase_automaton(m))
+    return (used is not None, route) if want_route else used is not None
 
 
 def parikh_image(m: CounterMachine) -> SemilinearSet:
     """Semilinear set of letter-count vectors (letters in sorted order)
     of the language, via Hilbert-basis re-expression of side conditions."""
     pa = build_phase_automaton(m)
-    weight, dims = _weight_counters_letters(pa, per_letter=True)
+    weight, dims = _weight_counters_letters(pa)
     k = pa.k
     nlet = len(pa.alphabet)
 
@@ -947,11 +983,7 @@ def semilinear_member(s: SemilinearSet, vec) -> bool:
         if any(b != v and all(p[d] == 0 for p in comp.periods)
                for d, (b, v) in enumerate(zip(comp.base, vec))):
             continue
-        cons = []
-        for d in range(len(vec)):
-            unit = [0] * len(vec)
-            unit[d] = 1
-            cons.append((tuple(unit), "==", vec[d]))
+        cons = [(tuple(int(i == d) for i in range(len(vec))), "==", v) for d, v in enumerate(vec)]
         if linear_feasible(comp, cons) is not None:
             return True
     return False

@@ -567,9 +567,10 @@ def _guard_after(guard_char, delta):
     return [POS]
 
 
-def _edges_on_cycles(edges):
-    """The (u, v, ...) edges whose ends share a strongly connected
-    component, i.e. that lie on a cycle (Tarjan's algorithm, iterative)."""
+def _components(edges):
+    """Each node of the (u, v, ...) edges mapped to its strongly
+    connected component, named by one of its nodes (Tarjan's algorithm,
+    iterative).  An edge lies on a cycle iff its ends share a component."""
     adj = {}
     for e in edges:
         adj.setdefault(e[0], []).append(e[1])
@@ -594,6 +595,12 @@ def _edges_on_cycles(edges):
                 if low[v] == index[v]:
                     while v not in comp:
                         comp[stack.pop()] = v
+    return comp
+
+
+def _edges_on_cycles(edges):
+    """The (u, v, ...) edges that lie on a cycle."""
+    comp = _components(edges)
     return [e for e in edges if comp[e[0]] == comp[e[1]]]
 
 

@@ -25,7 +25,11 @@ compares every component with every other: the reference for
 `decide.is_empty` took before edge counts: integer feasibility of the
 end-mode rows over each linear set of `decide._parikh_paths`, whose
 reference is `min_scan_paths`.  It is the reference for the edge-count
-verdicts of `decide._accepting_counts`.
+verdicts of `decide._accepting_counts`.  `elimination_infinite` is
+infiniteness the same way, the route `decide.is_infinite` took before
+edge counts: a linear set with feasible multipliers and a direction among
+its periods that adds letters.  It is the reference for
+`decide._pump_counts`.
 
 `phase_automaton_reference` is the phase automaton built the eager way:
 the whole one-reversal split `to_one_reversal(m)` written out first, then
@@ -71,9 +75,10 @@ from collections import deque, namedtuple
 from math import gcd
 
 from rbcm.decide import (
-    AT_EOT, READING, PhaseAutomaton, PhaseEdge, _end_mode_constraints, _parikh_paths,
-    _weight_counters_letters, linear_feasible, to_one_reversal,
+    AT_EOT, READING, LinearSet, PhaseAutomaton, PhaseEdge, _end_mode_constraints,
+    _multiplier_rows, _parikh_paths, linear_feasible, to_one_reversal,
 )
+from rbcm.ilp import rational_feasible
 from rbcm.machine import (
     DIR_DOWN, DIR_NONE, DIR_UP, EOT, POS, RIGHT, STAY, ZERO, CounterMachine, Transition,
 )
@@ -569,13 +574,51 @@ def min_scan_paths(pa, target, weight, dims, cap=None):
     return graph.get(src, {}).get(snk, ())
 
 
+def letter_total_weight(pa):
+    """(weight, dims): each edge's inc_i, dec_i, then 1 if it reads a
+    letter, else 0."""
+    return (lambda e: e.incs + e.decs + (int(e.letter is not None),)), 2 * pa.k + 1
+
+
 def elimination_nonempty(pa):
     """True iff some path to an accepting node meets its end-mode rows:
     some linear set of the path's Parikh image has feasible multipliers."""
-    weight, dims = _weight_counters_letters(pa, per_letter=False)
+    weight, dims = letter_total_weight(pa)
     return any(linear_feasible(comp, _end_mode_constraints(node[1], pa.k, dims)) is not None
                for node in sorted(pa.accepting, key=repr)
                for comp in _parikh_paths(pa, node, weight, dims))
+
+
+def elimination_infinite(pa):
+    """True iff some linear set of the Parikh image of the paths to an
+    accepting node has feasible multipliers for the node's end-mode rows
+    and a direction among its periods that keeps the rows, right-hand
+    sides set to 0, and adds input letters."""
+    weight, dims = letter_total_weight(pa)
+    letters = [0] * dims
+    letters[-1] = 1
+    for node in sorted(pa.accepting, key=repr):
+        cons = _end_mode_constraints(node[1], pa.k, dims)
+        relaxed = [(c, op, 0) for c, op, _ in cons]
+        for comp in _parikh_paths(pa, node, weight, dims):
+            if linear_feasible(comp, cons) is None:
+                continue
+            grow = relaxed + [(tuple(letters), ">=", 1)]
+            # homogeneous but for letters >= 1: scaled by its denominators,
+            # a rational direction is an integer one, so the LP is exact
+            _, eqs, ges = _multiplier_rows(LinearSet((0,) * dims, comp.periods), grow)
+            if rational_feasible(eqs, ges, len(comp.periods)) is not None:
+                return True
+    return False
+
+
+def realize(c, multipliers):
+    """The vector of linear set `c` at the given period multipliers."""
+    vec = list(c.base)
+    for p, n in multipliers.items():
+        for i, x in enumerate(p):
+            vec[i] += n * x
+    return tuple(vec)
 
 
 def _combine(p, n, j):

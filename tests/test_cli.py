@@ -16,6 +16,7 @@ from rbcm.fileformat import parse_machine, serialize_machine
 from rbcm.machine import EOT, STAY, CounterMachine, Transition
 
 from oracles import lasso_run
+from randgen import machine_pool
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -115,6 +116,22 @@ def test_infinite_verdicts(mab, tmp_path):
     f = tmp_path / "pf_ab.mach"
     f.write_text(corpus_text("pf_ab"))
     assert run_cli(["infinite", str(f)]) == 1
+
+
+def test_infinite_json_reports_the_route(mab, tmp_path, capsys):
+    """`--json` names the step that settled the verdict: no pump at all,
+    a path covering the LP pump, or path and pump solved together."""
+    pf_ab = tmp_path / "pf_ab.mach"
+    pf_ab.write_text(corpus_text("pf_ab"))
+    joint = tmp_path / "joint.mach"
+    joint.write_text(serialize_machine(machine_pool(4242, 100, alphabet="ab")[9]))
+    for path, code, verdict, route in [(mab, 0, "infinite", "pump flow"),
+                                       (str(pf_ab), 1, "finite", "no pump"),
+                                       (str(joint), 0, "infinite", "pump and flow")]:
+        assert run_cli(["infinite", path, "--json"]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"command": "infinite", "verdict": verdict,
+                           "details": {"route": route}}, path
 
 
 def test_parikh_json(mab, capsys):

@@ -33,7 +33,6 @@ from rbcm.decide import (
     parikh_image,
     prefix_free_check_machine,
     rational_feasible,
-    realize,
     semilinear_member,
     sl_dedup,
     solve_diophantine,
@@ -52,14 +51,17 @@ from rbcm.regular import UnaryDFA, word_dfa
 
 from oracles import (
     OracleBudgetExceeded,
+    elimination_infinite,
     elimination_nonempty,
     eot_accepts,
     fm_feasible,
+    letter_total_weight,
     min_scan_paths,
     naive_member,
     ncm_explore_reference,
     pairwise_dedup,
     phase_automaton_reference,
+    realize,
     stay_counter_cap,
     window_feasible,
     words_upto,
@@ -675,6 +677,98 @@ def test_is_infinite_on_corpus():
         assert is_infinite(m) == expected, name
 
 
+def test_pump_lp_keeps_simple_cycle_columns():
+    """`mod_counter` pumps along a loop whose nodes have one edge in and
+    one out among the cycle edges: its chain must keep a column in the
+    pump LP, cut at the node that names its component.  The prefix-free
+    machines have no pump at all."""
+    for name, want in [("mod_counter", (True, "pump flow")), ("pf_ab", (False, "no pump")),
+                       ("pf_hash", (False, "no pump"))]:
+        assert is_infinite(load_corpus(name).artifact, want_route=True) == want, name
+
+
+@pytest.fixture(scope="module")
+def pump_pool(corpus_machines):
+    """(machine, phase automaton, what `_pump_counts` returned) for each
+    machine of the infiniteness pools, from one `is_infinite` call each,
+    made while state elimination raises.  The corpus, L_R for R <= 40,
+    the criterion-4 pools, pools 31337 and 9001, the 44 draws before
+    draw 44, and stay-up draws with l = 1, 2, 3.  The last machine of
+    pool 4243 is left out: the oracle takes more than 10 s on it."""
+    rng = random.Random(5)
+    pool = (corpus_machines + [lr_machine(R) for R in range(1, 41)]
+            + machine_pool(4242, 100, alphabet="ab")
+            + machine_pool(4243, 50, alphabet="ab", deterministic=False)[:49]
+            + machine_pool(4244, 50, alphabet="a")
+            + machine_pool(31337, 50, alphabet="ab") + machine_pool(9001, 40, alphabet="ab")
+            + [rand_machine(rng, l=(1, 2, 3)[i % 3]) for i in range(44)]
+            + [m for l in (1, 2, 3) for m in machine_pool(8100 + l, 60, stay_up=True, l=l)])
+    found = []
+    pump_counts = decide._pump_counts
+
+    def spy(pa):
+        found.append((pa, pump_counts(pa)))
+        return found[-1][1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_infinite ran state elimination")
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_parikh_paths", refuse)
+        mp.setattr(decide, "_pump_counts", spy)
+        for m in pool:
+            verdict = is_infinite(m)
+            pa, (route, used, pumped) = found.pop()
+            assert verdict == (used is not None), m.name
+            out.append((m, pa, route, used, pumped))
+    return out
+
+
+def test_is_infinite_matches_elimination_oracle(pump_pool):
+    """The verdict from edge counts is state elimination's on every
+    machine of the pools; each route answers some of them."""
+    routes = {}
+    for m, pa, route, used, _ in pump_pool:
+        assert (used is not None) == elimination_infinite(pa), (m.name, route)
+        routes.setdefault((route, used is not None), m.name)
+    assert len(pump_pool) == 560
+    assert set(routes) == {("no pump", False), ("pump flow", True),
+                           ("pump and flow", True), ("pump and flow", False)}, routes
+
+
+def _plus(used, pumped, n):
+    counts = {e.eid: [e, c] for e, c in used}
+    for e, c in pumped:
+        counts[e.eid][1] += n * c
+    return [tuple(ec) for ec in counts.values()]
+
+
+def test_infinite_verdicts_carry_a_pump(pump_pool):
+    """Each "infinite" verdict on a pool machine with at most 60 phase
+    nodes comes with a path z and a pump y on z's edges: the Euler words
+    of z + y and z + 2y read every letter the counts hold, the oracle
+    accepts both, and their lengths differ."""
+    checked = 0
+    for m, pa, route, used, pumped in pump_pool:
+        if used is None or len(pa.nodes) > 60:
+            continue
+        try:
+            stay_counter_cap(m, 0)
+        except ValueError:
+            continue        # runs the oracle cannot bound
+        assert pumped and {e for e, _ in pumped} <= {e for e, _ in used}, m.name
+        words = []
+        for n in (1, 2):
+            counts = _plus(used, pumped, n)
+            words.append(decide._euler_word(pa.initial, counts))
+            assert len(words[-1]) == sum(c for e, c in counts if e.letter is not None), m.name
+            assert naive_member(m, words[-1]), (m.name, route, words[-1])
+        assert len(words[0]) < len(words[1]), (m.name, words)
+        checked += 1
+    assert checked >= 300, checked
+
+
 def test_parikh_image_matches_enumeration_on_corpus(corpus_machines):
     for m in corpus_machines:
         if len(m.alphabet) > 2:
@@ -959,7 +1053,7 @@ def test_parikh_paths_matches_min_scan_oracle(group, corpus_machines):
         def per_edge(e):
             return tuple(int(i == pos[e.eid]) for i in range(width))
 
-        weights = [_weight_counters_letters(pa, True), _weight_counters_letters(pa, False),
+        weights = [_weight_counters_letters(pa), letter_total_weight(pa),
                    (per_edge, width)]
         for target in sorted(pa.accepting, key=repr):
             for weight, dims in weights:
