@@ -766,6 +766,13 @@ def _ncm_explore(m: CounterMachine, targets, cap):
     node is an integer id for the prefix read so far and the lookahead
     is the next letter or EOT; children are visited in alphabet order.
 
+    The search stops at the pop that gives the last target its accepting
+    run (targets are counted as trie nodes, so repeats count once).  That
+    is exact: up to that pop it is the full search, and afterwards the
+    full search could neither accept another target nor leave an
+    accepted one undecided, so at every cap and budget both return
+    (all targets, nothing undecided).
+
     No outcome depends on the budget.  A word is reported accepted only
     with an accepting run in hand, and once the budget runs out every
     target not accepted is reported undecided, which `member` and
@@ -816,6 +823,8 @@ def _ncm_explore(m: CounterMachine, targets, cap):
         node, look, state, counters, budgets = work.pop()
         if look == EOT and state in finals:
             accepted.add(node)
+            if len(accepted) == len(word_at):
+                return set(word_at.values()), set()
             continue
         for _, nb, dst, move, deltas in moves_at[state, look, tuple(map(bool, counters)), budgets]:
             nc = tuple(map(add, counters, deltas))
@@ -850,7 +859,9 @@ def member(m: CounterMachine, word: str) -> bool:
     """Exact membership.  Deterministic machines run directly; for the
     rest, one run search with counters capped at len(word) + 16 settles
     most words and the emptiness pipeline on the word product settles
-    the remainder."""
+    the remainder.  The search returns at the first accepting run it
+    pops, so an accepted word costs only the configurations visited
+    before that run; a rejected word costs the full search."""
     if not set(word).issubset(m.alphabet):
         return False
     if m.deterministic:

@@ -146,10 +146,6 @@ def fresh_budgets(k: int) -> tuple:
     return tuple((DIR_NONE, 0) for _ in range(k))
 
 
-def initial_configuration(m: CounterMachine) -> Configuration:
-    return Configuration(m.initial, 0, (0,) * m.k, fresh_budgets(m.k))
-
-
 def _step_budgets(budgets, deltas, l):
     """Per-counter (direction, used) budgets after applying `deltas`, or
     None when a counter would pass `l` reversals.
@@ -193,10 +189,6 @@ def _walk(seeds, adj) -> dict:
                 seen[v] = None
                 work.append(v)
     return seen
-
-
-def apply_deltas(counters, deltas):
-    return tuple(map(operator.add, counters, deltas))
 
 
 def validate_machine(m: CounterMachine) -> list:
@@ -312,19 +304,6 @@ def _moves(m: CounterMachine) -> _MoveTable:
         cached = _MoveTable(m)
         object.__setattr__(m, "_move_table", cached)
     return cached
-
-
-def current_symbol(m: CounterMachine, config: Configuration, word: str) -> str:
-    return word[config.consumed] if config.consumed < len(word) else EOT
-
-
-def applicable_steps(m, config, symbol):
-    """All (transition, successor) pairs respecting guards and budgets."""
-    counters = config.counters
-    moves = _moves(m)[config.state, symbol, tuple(map(bool, counters)), config.budgets]
-    return [(t, Configuration(dst, config.consumed + (move == RIGHT),
-                              apply_deltas(counters, deltas), nb))
-            for t, nb, dst, move, deltas in moves]
 
 
 def run_deterministic(m: CounterMachine, word: str) -> RunTrace:

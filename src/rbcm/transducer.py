@@ -78,13 +78,6 @@ def transduce_det(t: CounterTransducer, word: str):
     return "".join(t.output for _s, _c, _n, _b, t in trace.steps.rows if t is not None)
 
 
-def empty_word_acceptor(alphabet) -> CounterMachine:
-    """Machine accepting exactly the empty word."""
-    return CounterMachine(
-        "empty_word", 0, 0, frozenset({"q0"}), tuple(alphabet), "q0",
-        frozenset({"q0"}), (), False, True, True)
-
-
 def inverse_apply(t: CounterTransducer, a: CounterMachine) -> CounterMachine:
     """Machine for { w : t(w) is defined and lies in L(a) }.
 

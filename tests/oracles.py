@@ -7,9 +7,15 @@ on a cycle of stay moves on its symbol, because then counter values are
 bounded in the word length (see `stay_counter_cap`) and the
 configuration space is finite.
 
+`stepper` is the one-move relation written from the definition;
+`naive_member` searches with it and `lasso_run` runs with it.
+
 `lasso_run` is the deterministic run with the full stay-segment lasso
 scan, the reference for `machine.run_deterministic`'s verdicts, traces
 and divergence certificates.
+
+`empty_word_acceptor` is the machine with no transitions whose initial
+state is final: the acceptor of the silent-transducer identity tests.
 
 `ncm_explore_reference` is the bounded run search over string prefixes,
 stepping by a scan of the transitions, with the node budget as an
@@ -150,36 +156,50 @@ def stay_counter_cap(m, n):
     return n + (n + 1) * len(incs)
 
 
+def stepper(m):
+    """The one-move relation of `m`, from the definition: a function
+    from a word and a configuration (state, letters read, counters,
+    budgets) to every (transition, configuration) one move later.  The
+    moves are the transitions whose source, symbol under the head and
+    guard match, and which keep every counter within `l` reversals;
+    budgets keep directions only (used stays 0) when l is None."""
+    by_key = {}
+    for t in m.transitions:
+        by_key.setdefault((t.src, t.symbol, t.guard), []).append(t)
+
+    def successors(word, cfg):
+        state, pos, counters, budgets = cfg
+        out = []
+        for t in by_key.get((state, word[pos] if pos < len(word) else EOT,
+                             "".join([POS if c > 0 else ZERO for c in counters])), ()):
+            nb = tuple(map(_bump, budgets, t.deltas))
+            if m.l is None:
+                nb = tuple((d, 0) for d, _ in nb)
+            elif any(u > m.l for _, u in nb):
+                continue
+            out.append((t, (t.dst, pos + (t.move == RIGHT),
+                            tuple(c + d for c, d in zip(counters, t.deltas)), nb)))
+        return out
+    return successors
+
+
 def naive_member(m, word, node_cap=2_000_000):
     """Breadth-first search for an accepting configuration, with every
     counter at most `stay_counter_cap` (checked, not assumed)."""
     cap = stay_counter_cap(m, len(word))
+    successors = stepper(m)
     start = (m.initial, 0, (0,) * m.k, ((DIR_NONE, 0),) * m.k)
     seen = {start}
     queue = deque([start])
     nodes = 0
     while queue:
-        state, pos, counters, budgets = queue.popleft()
-        if pos == len(word) and state in m.finals:
+        cfg = queue.popleft()
+        if cfg[1] == len(word) and cfg[0] in m.finals:
             return True
         nodes += 1
         if nodes > node_cap:
             raise RuntimeError("oracle node budget exceeded")
-        symbol = word[pos] if pos < len(word) else EOT
-        for t in m.transitions:
-            if t.src != state or t.symbol != symbol:
-                continue
-            if any((g == "z") != (c == 0) for g, c in zip(t.guard, counters)):
-                continue
-            nb = tuple(_bump(e, d) for e, d in zip(budgets, t.deltas))
-            if m.l is not None and any(u > m.l for _, u in nb):
-                continue
-            nxt = (
-                t.dst,
-                pos + (1 if t.move == RIGHT else 0),
-                tuple(c + d for c, d in zip(counters, t.deltas)),
-                nb,
-            )
+        for _, nxt in successors(word, cfg):
             if max(nxt[2], default=0) > cap:
                 raise AssertionError(f"counter bound {cap} broken")
             if nxt not in seen:
@@ -203,6 +223,7 @@ def lasso_run(m, word, step_cap=20_000):
     """
     state, pos, counters = m.initial, 0, (0,) * m.k
     budgets = ((DIR_NONE, 0),) * m.k
+    successors = stepper(m)
     steps = []
     seg_start = 0
 
@@ -226,27 +247,14 @@ def lasso_run(m, word, step_cap=20_000):
             if all(steps[t][2][i] > 0 for i, g in enumerate(growth) if g > 0
                    for t in range(t1, t2)):
                 return "diverge", steps + [here + (None,)], (t1, t2, growth)
-        symbol = word[pos] if pos < len(word) else EOT
-        moves = []
-        for t in m.transitions:
-            if (t.src, t.symbol, t.guard) != (state, symbol, guard(counters)):
-                continue
-            nb = tuple(_bump(e, d) for e, d in zip(budgets, t.deltas))
-            if m.l is None:
-                nb = tuple((d, 0) for d, _ in nb)
-            elif any(u > m.l for _, u in nb):
-                continue
-            moves.append((t, nb))
+        moves = successors(word, here)
         if not moves:
             return "reject", steps + [here + (None,)], None
         if len(moves) > 1:
             raise ValueError("lasso_run needs a deterministic machine")
-        t, budgets = moves[0]
+        t, (state, pos, counters, budgets) = moves[0]
         steps.append(here + (t,))
-        state = t.dst
-        counters = tuple(c + d for c, d in zip(counters, t.deltas))
         if t.move == RIGHT:
-            pos += 1
             seg_start = len(steps)
 
 
@@ -314,6 +322,13 @@ def ncm_explore_reference(m, targets, cap, node_budget):
                  if exhausted or w in poisoned_exact
                  or any(w[:i] in poisoned_prefixes for i in range(1, len(w) + 1))}
     return accepted, undecided
+
+
+def empty_word_acceptor(alphabet) -> CounterMachine:
+    """Machine accepting exactly the empty word."""
+    return CounterMachine(
+        "empty_word", 0, 0, frozenset({"q0"}), tuple(alphabet), "q0",
+        frozenset({"q0"}), (), False, True, True)
 
 
 def naive_language(m, max_len):

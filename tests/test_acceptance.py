@@ -30,6 +30,7 @@ from rbcm.decide import (
 from rbcm.errors import MachineError, NotPrefixFree, PreconditionViolated
 from rbcm.fileformat import parse_machine, serialize_machine
 from rbcm.machine import (
+    DIR_NONE,
     EOT,
     POS,
     RIGHT,
@@ -37,16 +38,12 @@ from rbcm.machine import (
     ZERO,
     CounterMachine,
     Transition,
-    applicable_steps,
-    current_symbol,
-    initial_configuration,
     run_deterministic,
     validate_machine,
 )
 from rbcm.regular import Dfa, full_dfa, word_dfa
 from rbcm.transducer import (
     CounterTransducer,
-    empty_word_acceptor,
     inverse_apply,
     to_null_transducer,
 )
@@ -55,9 +52,11 @@ from oracles import (
     concat_language,
     dfa_language,
     dfa_member,
+    empty_word_acceptor,
     is_prefix_free,
     naive_language,
     naive_member,
+    stepper,
     words_upto,
 )
 from randgen import machine_pool
@@ -422,10 +421,11 @@ def test_criterion_07_shuffle_inverse_image(capsys):
 
 
 def _replay_never_halts(m, word, steps=10_000):
-    cfg = initial_configuration(m)
+    successors = stepper(m)
+    cfg = (m.initial, 0, (0,) * m.k, ((DIR_NONE, 0),) * m.k)
     for _ in range(steps):
-        assert not (cfg.consumed == len(word) and cfg.state in m.finals)
-        options = applicable_steps(m, cfg, current_symbol(m, cfg, word))
+        assert not (cfg[1] == len(word) and cfg[0] in m.finals)
+        options = successors(word, cfg)
         assert len(options) == 1, "run got stuck or branched"
         cfg = options[0][1]
 

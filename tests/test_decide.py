@@ -57,6 +57,7 @@ from oracles import (
     fm_feasible,
     letter_total_weight,
     min_scan_paths,
+    naive_language,
     naive_member,
     ncm_explore_reference,
     pairwise_dedup,
@@ -549,6 +550,71 @@ def test_member_makes_one_run_search_before_the_pipeline(monkeypatch):
                         lambda *args: calls.append("pipeline") or pipeline(*args))
     assert member(m, "a")
     assert calls == ["explore", "pipeline"]
+
+
+def _climb_machine(accept_last):
+    """Accepts only 'a', nondeterministically: reading 'a' leads to the
+    final state f, or to c, whose end-of-tape stay loop lifts the counter
+    without bound.  The search pops the move pushed last first, so with
+    `accept_last` it pops the accepting run before the climb."""
+    to_c = Transition("s0", "a", "z", "c", RIGHT, (0,))
+    to_f = Transition("s0", "a", "z", "f", RIGHT, (0,))
+    ts = [to_c, to_f] if accept_last else [to_f, to_c]
+    ts += [Transition("c", EOT, g, "c", STAY, (1,)) for g in "zp"]
+    return CounterMachine("climb", 1, 1, frozenset({"s0", "c", "f"}), ("a",), "s0",
+                          frozenset({"f"}), tuple(ts), True, False)
+
+
+def _looked_up_states(monkeypatch, call):
+    """The states of the move-table lookups that `call()` makes."""
+    states = []
+    moves = decide._moves
+
+    class Spy:
+        def __init__(self, table):
+            self.table = table
+
+        def __getitem__(self, key):
+            states.append(key[0])
+            return self.table[key]
+
+    with monkeypatch.context() as p:
+        p.setattr(decide, "_moves", lambda m: Spy(moves(m)))
+        call()
+    return states
+
+
+def test_run_search_stops_at_the_last_accepting_run(monkeypatch):
+    """Once every target has an accepting run the search makes no more
+    lookups: the climb that the full search would follow to the cap is
+    never stepped, duplicate targets count once, and the answer is the
+    full search's at every cap and node budget."""
+    m = _climb_machine(accept_last=True)
+    assert _looked_up_states(monkeypatch, lambda: member(m, "a")) == ["s0"]
+    assert _looked_up_states(monkeypatch, lambda: _ncm_explore(m, ["a", "a"], 17)) == ["s0"]
+    late = _climb_machine(accept_last=False)    # the climb comes first
+    assert _looked_up_states(monkeypatch, lambda: member(late, "a")).count("c") == 18
+    for targets in (["a"], ["", "a", "aa"]):
+        for cap in (0, 1, len("a") + 16):
+            assert _ncm_explore(m, targets, cap) == ncm_explore_reference(
+                m, targets, cap, decide.NCM_NODE_BUDGET), (targets, cap)
+        for budget in (1, 3):
+            with monkeypatch.context() as p:
+                p.setattr(decide, "NCM_NODE_BUDGET", budget)
+                got = _ncm_explore(m, targets, 17)
+            assert got == ncm_explore_reference(m, targets, 17, budget), (targets, budget)
+
+
+def test_run_search_stops_once_every_target_is_accepted():
+    """The complement of an empty machine accepts every word: enumeration
+    and the probe find them all, through the stop on the last target."""
+    none = CounterMachine("none", 1, 1, frozenset({"q0"}), ("a", "b"), "q0",
+                          frozenset(), (), False, True)
+    m = boolean_dcm(none, None, "not")
+    words = list(words_upto(m.alphabet, 6))
+    assert enumerate_words(m, 6) == words
+    assert set(words) == naive_language(m, 6)
+    assert _probe_witness(m) == words
 
 
 def _explore_targets(m, rng):

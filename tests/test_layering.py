@@ -65,3 +65,37 @@ def test_ilp_imports_only_the_standard_library():
             assert node.level == 0, node.lineno
             modules.add(node.module.split(".")[0])
     assert modules <= sys.stdlib_module_names, modules
+
+
+def _names_used(node, skip=None):
+    """Every name that `node` reads, as a bare name or an attribute,
+    outside the subtree `skip`."""
+    used = set()
+    work = [node]
+    while work:
+        n = work.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        work += ast.iter_child_nodes(n)
+    return used
+
+
+def test_every_top_level_definition_is_exported_or_used():
+    """Each top-level function and class of `src/rbcm` is exported by
+    `rbcm/__init__.py` or named elsewhere in `src/rbcm`: code that only
+    tests call belongs in the tests."""
+    trees = _trees()
+    exported = {a.asname or a.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in exported:
+                continue
+            if not any(node.name in _names_used(other, skip=node) for other in trees.values()):
+                unused.append(f"{name}.{node.name}")
+    assert unused == []

@@ -8,7 +8,6 @@ from rbcm.corpus import load_corpus
 from rbcm.machine import CounterMachine
 from rbcm.transducer import (
     CounterTransducer,
-    empty_word_acceptor,
     forward_image_ncm,
     inverse_apply,
     to_null_transducer,
@@ -17,7 +16,7 @@ from rbcm.transducer import (
 )
 from rbcm.decide import enumerate_words, member
 
-from oracles import naive_language, words_upto
+from oracles import empty_word_acceptor, naive_language, words_upto
 
 
 @pytest.fixture(scope="module")
