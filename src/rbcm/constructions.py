@@ -17,15 +17,14 @@ from .errors import (
 )
 from .machine import (
     EOT, POS, RIGHT, STAY, ZERO,
-    CounterMachine, Transition, _edges_on_cycles, _index, all_guards, annotate_budgets,
-    build_machine, combine_budgets, enforce_reversal_control, no_stay_into_final,
-    run_deterministic, stay_acyclic_check, totalize_dead_state,
+    CounterMachine, Transition, _components, _fresh_state, _index, all_guards,
+    annotate_budgets, build_machine, combine_budgets, enforce_reversal_control,
+    no_stay_into_final, run_deterministic, totalize_dead_state,
 )
 from .regular import (
     Dfa, UnaryDFA, align_unary_family, full_dfa, machine_from_dfa, periodic_to_unary,
     prefix_free_check_dfa, validate_dfa,
 )
-from .ilp import rational_feasible
 
 
 def _check_alphabets(a, b):
@@ -73,8 +72,11 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
     Stay moves of the two components interleave; a joint consuming move
     advances both.  Acceptance flags accumulate final-state visits during
     end-of-input processing so each component may accept at a different
-    moment.  When both inputs are deterministic, component one is
-    scheduled first, so its end-of-input stay runs should terminate.
+    moment.  When both inputs are deterministic, component one takes its
+    stay moves first on each letter, and at the end of input it runs
+    until its flag is set, then component two does: a component whose run
+    never ends never sets its flag or never lets the head move on, so the
+    product rejects as that component does.
     """
     _check_alphabets(m1.alphabet, m2.alphabet)
     m1e = enforce_reversal_control(m1)
@@ -159,50 +161,56 @@ def _split_moves(idx, q, sym, k):
 
 
 # ---------------------------------------------------------------------------
-# stay-run termination and boolean operations
+# halting runs and boolean operations
 
 
-def stay_runs_terminate(m: CounterMachine) -> bool:
-    """Conservative check that no stay run (per symbol or at the end of
-    input) can go on forever.
+def _halting(me: CounterMachine) -> CounterMachine:
+    """`me`, budget-explicit and deterministic, with every endless stay
+    run cut: each run halts, and accepts the same words.
 
-    For each symbol one LP asks for a nonzero circulation on the stay
-    transitions whose counter effect is >= 0; with none, by Farkas' lemma
-    a linear ranking function falls on every stay cycle (Podelski and
-    Rybalchenko, VMCAI 2004).  It has one variable per distinct (source,
-    target, effect) on a cycle.  Guards are ignored, so False means
-    "could not certify", not "diverges".
+    A stay move is stable when no delta is negative and every counter
+    guarded zero keeps delta 0, so its guard holds again after it.  Over
+    (state, symbol, guard) nodes the stable moves give each node at most
+    one successor, and a run that reaches a cycle of that graph goes
+    round it forever.  Conversely, an endless stay run reverses each
+    counter at most `l` times, since `me`'s moves respect the budget;
+    after the last reversal every counter is monotone, a falling one soon
+    stays at zero, and from then on the run takes only stable moves, so
+    it enters a cycle.  The move at each cycle node is dropped, so the
+    run halts there and rejects, except on a `$` cycle through a final
+    state, where the run accepts: its nodes move to one fresh final state
+    with no moves.  With no cycle `me` itself is returned.  For `l` None
+    the converse fails (a counter may reverse forever), so it raises
+    InfiniteBudget.
     """
-    for sym in tuple(m.alphabet) + (EOT,):
-        stays = _edges_on_cycles(list(dict.fromkeys(
-            (t.src, t.dst, t.deltas) for t in m.transitions
-            if t.symbol == sym and t.move == STAY)))
-        flow = {}                          # state -> inflow - outflow
-        for j, (u, v, _) in enumerate(stays):
-            if u != v:
-                flow.setdefault(u, [0] * len(stays))[j] -= 1
-                flow.setdefault(v, [0] * len(stays))[j] += 1
-        ges = [(tuple(d[i] for _, _, d in stays), 0) for i in range(m.k)]
-        ges.append(((1,) * len(stays), 1))
-        eqs = [(row, 0) for row in flow.values()]
-        if rational_feasible(eqs, ges, len(stays)) is not None:
-            return False
-    return True
-
-
-def _stays_end(me: CounterMachine) -> bool:
-    """`me`'s stay runs provably end: acyclic over guards, or by the LP."""
-    return stay_acyclic_check(me) or stay_runs_terminate(me)
+    if me.l is None:
+        raise InfiniteBudget("cutting endless stay runs needs a finite budget")
+    edges = [((t.src, t.symbol, t.guard), (t.dst, t.symbol, t.guard))
+             for t in me.transitions if t.move == STAY and all(
+                 d == 0 or (d > 0 and g == POS) for g, d in zip(t.guard, t.deltas))]
+    comp = _components(edges)
+    on_cycle = {u: comp[u] for u, v in edges if comp[u] == comp[v]}
+    if not on_cycle:
+        return me
+    accepting = {c for (q, sym, _), c in on_cycle.items() if sym == EOT and q in me.finals}
+    states, finals = me.states, me.finals
+    if accepting:
+        halt = _fresh_state(states, "_halt")
+        states, finals = states | {halt}, finals | {halt}
+    transitions = []
+    for t in me.transitions:
+        c = on_cycle.get(t.key())
+        if c is None:
+            transitions.append(t)
+        elif c in accepting:
+            transitions.append(t._replace(dst=halt, deltas=(0,) * me.k))
+    return replace(me, states=states, finals=finals, transitions=tuple(transitions))
 
 
 def _complement(m: CounterMachine) -> CounterMachine:
     if not m.deterministic:
         raise PreconditionViolated("complement needs a deterministic machine")
-    me = enforce_reversal_control(m)
-    if not _stays_end(me):
-        raise PreconditionViolated(
-            "complement needs provably terminating stay runs")
-    me = totalize_dead_state(me)
+    me = totalize_dead_state(_halting(enforce_reversal_control(m)))
     idx = _index(me)
     F = me.finals
     ok = ("complement_ok",)
@@ -228,10 +236,12 @@ def _complement(m: CounterMachine) -> CounterMachine:
 def boolean_dcm(m1: CounterMachine, m2, mode: str) -> CounterMachine:
     """Boolean combinations of deterministic machines.
 
-    mode is 'not' (m2 must be None), 'and' or 'or'.  Complement needs
-    stay runs that provably terminate; intersection schedules a
-    terminating component first and rejects when neither can be
-    certified.
+    mode is 'not' (m2 must be None), 'and' or 'or'.  Complement cuts
+    the machine's endless stay runs first (`_halting`), so it takes every
+    deterministic machine with a finite budget and raises InfiniteBudget
+    on the others; 'or' complements both inputs, so it does the same.
+    'and' is the deterministic product, exact without halting runs (see
+    `product_intersection`), so it takes machines of any budget.
     """
     op = mode
     if op == "not":
@@ -243,13 +253,6 @@ def boolean_dcm(m1: CounterMachine, m2, mode: str) -> CounterMachine:
     if not (m1.deterministic and m2.deterministic):
         raise PreconditionViolated("boolean_dcm needs deterministic machines")
     if op == "and":
-        if not _stays_end(enforce_reversal_control(m1)):
-            if _stays_end(enforce_reversal_control(m2)):
-                m1, m2 = m2, m1
-            else:
-                raise PreconditionViolated(
-                    "intersection needs one component with provably "
-                    "terminating stay runs")
         return product_intersection(m1, m2)
     if op == "or":
         return _complement(product_intersection(_complement(m1), _complement(m2)))
@@ -479,17 +482,14 @@ def concat_pf_dcmne_dcm(m1: CounterMachine, m2: CounterMachine) -> CounterMachin
 
 def prepare_for_regular_concat(m: CounterMachine) -> CounterMachine:
     """Budget-explicit, total machine with no stays into finals whose
-    stay runs all terminate (`_stays_end`): the shape the subset
+    runs all halt (`_halting` cuts the endless stay runs, so a `reversals
+    inf` machine raises InfiniteBudget): the shape the subset
     construction below needs."""
     if m.marked or any(t.symbol == EOT for t in m.transitions):
         raise PreconditionViolated("regular concatenation needs an unmarked machine")
     if not m.deterministic:
         raise PreconditionViolated("regular concatenation needs determinism")
-    me = enforce_reversal_control(m)
-    if not _stays_end(me):
-        raise PreconditionViolated(
-            "machine has a stay cycle that may not terminate; cannot totalize")
-    return totalize_dead_state(no_stay_into_final(me))
+    return totalize_dead_state(no_stay_into_final(_halting(enforce_reversal_control(m))))
 
 
 def concat_dcmne_regular(m1: CounterMachine, d2: Dfa) -> CounterMachine:

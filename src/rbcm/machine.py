@@ -537,15 +537,6 @@ def totalize_dead_state(m: CounterMachine) -> CounterMachine:
     return replace(m, states=states, transitions=tuple(transitions))
 
 
-def _guard_after(guard_char, delta):
-    """Possible statuses of one counter after applying delta under guard_char."""
-    if guard_char == ZERO:
-        return [POS] if delta > 0 else [ZERO]
-    if delta < 0:
-        return [ZERO, POS]
-    return [POS]
-
-
 def _components(edges):
     """Each node of the (u, v, ...) edges mapped to its strongly
     connected component, named by one of its nodes (Tarjan's algorithm,
@@ -575,20 +566,3 @@ def _components(edges):
                     while v not in comp:
                         comp[stack.pop()] = v
     return comp
-
-
-def _edges_on_cycles(edges):
-    """The (u, v, ...) edges that lie on a cycle."""
-    comp = _components(edges)
-    return [e for e in edges if comp[e[0]] == comp[e[1]]]
-
-
-def stay_acyclic_check(m: CounterMachine) -> bool:
-    """True if the stay graph over (state, guard) nodes has no cycle.
-
-    Conservative: True implies every stay run terminates.  End-of-tape
-    stays are included.
-    """
-    return not _edges_on_cycles([
-        ((t.src, t.guard), (t.dst, "".join(g))) for t in m.transitions if t.move == STAY
-        for g in itertools.product(*map(_guard_after, t.guard, t.deltas))])

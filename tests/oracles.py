@@ -12,7 +12,10 @@ configuration space is finite.
 
 `lasso_run` is the deterministic run with the full stay-segment lasso
 scan, the reference for `machine.run_deterministic`'s verdicts, traces
-and divergence certificates.
+and divergence certificates, and for the outputs of the boolean
+operations and regular concatenation.  Started from a chosen
+configuration, it tells which stay runs never end: the reference for
+the machines whose stay cycles `constructions._halting` cuts.
 
 `empty_word_acceptor` is the machine with no transitions whose initial
 state is final: the acceptor of the silent-transducer identity tests.
@@ -53,9 +56,7 @@ reference for `machine.enforce_reversal_control`, states, their
 iteration order and transition order alike.
 
 `fm_feasible` is Fourier-Motzkin elimination, the reference for
-`decide.rational_feasible`; `stay_cycles_terminate` enumerates the simple
-stay cycles and decides their cone with it, the reference for
-`constructions.stay_runs_terminate`.
+`decide.rational_feasible`.
 
 `eot_accepts` is the end-of-tape run of a one-counter machine simulated
 step by step, importing nothing from `rbcm`: the reference for
@@ -208,7 +209,7 @@ def naive_member(m, word, node_cap=2_000_000):
     return False
 
 
-def lasso_run(m, word, step_cap=20_000):
+def lasso_run(m, word, step_cap=20_000, start=None):
     """Run a deterministic machine, rescanning the stay segment each step.
 
     Returns (verdict, steps, certificate).  `steps` holds one
@@ -219,10 +220,12 @@ def lasso_run(m, word, step_cap=20_000):
     smaller at t2 and every strictly growing counter is positive at every
     step of [t1, t2]; the certificate is (t1, t2, growth) for the earliest
     such t1.  Budgets keep directions only (used stays 0) when l is None.
-    Raises RuntimeError past `step_cap` steps.
+    The run starts from the initial configuration, or from `start`, a
+    (state, consumed, counters, budgets) tuple.  Raises RuntimeError past
+    `step_cap` steps.
     """
-    state, pos, counters = m.initial, 0, (0,) * m.k
-    budgets = ((DIR_NONE, 0),) * m.k
+    state, pos, counters, budgets = start or (
+        m.initial, 0, (0,) * m.k, ((DIR_NONE, 0),) * m.k)
     successors = stepper(m)
     steps = []
     seg_start = 0
@@ -732,55 +735,6 @@ def window_feasible(eqs, ges, n, cap):
         return None
 
     return dfs([0] * n, [cap] * n)
-
-
-def _simple_cycles(edges):
-    """Every simple cycle of a multigraph given as (src, dst, label)
-    triples, as a list of labels; parallel edges give distinct cycles.
-    Each cycle is found once, from its least vertex in first-seen order."""
-    order = {}
-    for u, v, _ in edges:
-        order.setdefault(u, len(order))
-        order.setdefault(v, len(order))
-    out = {}
-    for u, v, lab in edges:
-        out.setdefault(u, []).append((v, lab))
-    cycles = []
-    for start in order:
-        path, on_path = [], {start}
-
-        def walk(u):
-            for v, lab in out.get(u, ()):
-                if v == start:
-                    cycles.append(path + [lab])
-                elif order[v] > order[start] and v not in on_path:
-                    on_path.add(v)
-                    path.append(lab)
-                    walk(v)
-                    path.pop()
-                    on_path.discard(v)
-
-        walk(start)
-    return cycles
-
-
-def stay_cycles_terminate(m):
-    """True when, for every symbol, no nonzero non-negative combination of
-    the counter effects of its simple stay cycles is >= 0 in every
-    counter: the stay runs then terminate.  Guards are ignored."""
-    for sym in tuple(m.alphabet) + (EOT,):
-        edges = [(t.src, t.dst, t.deltas) for t in m.transitions
-                 if t.symbol == sym and t.move == STAY]
-        effects = list(dict.fromkeys(
-            tuple(map(sum, zip((0,) * m.k, *cyc))) for cyc in _simple_cycles(edges)))
-        if not effects:
-            continue
-        # y >= 0, sum y >= 1, sum_C y_C * effect_C >= 0 in every counter
-        ineqs = [(tuple(e[i] for e in effects), 0) for i in range(m.k)]
-        ineqs.append(((1,) * len(effects), 1))
-        if fm_feasible(ineqs, len(effects)):
-            return False
-    return True
 
 
 def eot_accepts(m, q, v):

@@ -177,6 +177,39 @@ def test_infinite_reversal_budget_is_precondition_error(tmp_path):
     assert run_cli(["infinite", str(f)]) == 3
 
 
+RISING_EOT_LOOP = """\
+machine rising_eot_loop
+kind dcm
+acceptance marked
+counters 1
+reversals 1
+alphabet a
+states q f
+initial q
+final f
+trans q a * -> q R +1
+trans q $ z -> f S 0
+trans q $ p -> q S +1
+"""
+
+
+def test_op_complement_needs_a_finite_budget(tmp_path):
+    """With `reversals inf` a counter may reverse forever, so `op
+    complement` refuses the machine (exit 3).  With a finite budget it
+    takes a machine whose end-of-tape stay loop rises forever on every
+    nonempty word."""
+    inf = tmp_path / "inf.mach"
+    inf.write_text(corpus_text("M_ab").replace("reversals 1", "reversals inf"))
+    out = tmp_path / "not.mach"
+    assert run_cli(["op", "complement", str(inf), "-o", str(out)]) == 3
+    rising = tmp_path / "rising.mach"
+    rising.write_text(RISING_EOT_LOOP)
+    assert run_cli(["op", "complement", str(rising), "-o", str(out)]) == 0
+    for w in ("", "a", "aa"):
+        assert lasso_run(parse_machine(RISING_EOT_LOOP), w)[0] == ("accept" if not w else "diverge")
+        assert run_cli(["member", str(out), "--word", w]) == (1 if not w else 0)
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("solver lost a row"),
                                  AssertionError("witness re-check failed")])
 def test_internal_error_is_not_a_false_verdict(mab, monkeypatch, capsys, exc):

@@ -1,4 +1,4 @@
-import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,24 +16,22 @@ from rbcm.constructions import (
     left_quotient_word,
     prepare_for_regular_concat,
     product_intersection,
-    stay_runs_terminate,
     strip_end_marker_one_counter,
 )
 from rbcm.corpus import load_corpus
 from rbcm.decide import enumerate_words, is_empty, make_non_exiting, member
-from rbcm.errors import NotPrefixFree
+from rbcm.errors import InfiniteBudget, NotPrefixFree
 from rbcm.fileformat import parse_machine
 from rbcm.machine import (
-    EOT, RIGHT, STAY, CounterMachine, Transition, enforce_reversal_control,
-    run_deterministic, stay_acyclic_check,
+    EOT, POS, RIGHT, STAY, CounterMachine, Transition, all_guards,
+    enforce_reversal_control, run_deterministic,
 )
 from rbcm.regular import Dfa, full_dfa, machine_from_dfa, word_dfa
 
 from oracles import (
-    concat_language, lasso_run, naive_language, naive_member, stay_cycles_terminate,
-    words_upto,
+    concat_language, dfa_member, lasso_run, naive_language, naive_member, words_upto,
 )
-from randgen import machine_pool, rand_machine
+from randgen import machine_pool
 
 
 def _lang(m, n):
@@ -86,29 +84,8 @@ def test_boolean_and_or(m_ab, m_ab1):
     assert _lang(either, 6) == _lang(m_ab, 6)
 
 
-def test_stay_runs_terminate_matches_cycle_oracle(corpus_machines):
-    """The per-symbol circulation LP gives the simple-cycle oracle's
-    verdict on the corpus, the criterion-1 pool and seeded draws (with
-    and without rising stay moves), before and after budget annotation."""
-    machines = (list(corpus_machines)
-                + machine_pool(9001, 80, alphabet="ab")
-                + machine_pool(9002, 20, alphabet="a"))
-    rng = random.Random(5)
-    machines += [rand_machine(rng) for _ in range(200)]
-    rng = random.Random(6)
-    machines += [rand_machine(rng, l=(1, 2, 3, None)[i % 4], stay_up=True)
-                 for i in range(200)]
-    verdicts = []
-    for m in machines:
-        for x in (m, enforce_reversal_control(m)):
-            verdicts.append(stay_runs_terminate(x))
-            assert verdicts[-1] == stay_cycles_terminate(x), m.name
-    assert 0 < sum(verdicts) < len(verdicts)
-
-
 # Two stay edges q -> r and two r -> q on the end marker.  Every stay cycle
-# lowers a counter, but a per-coordinate max over parallel edges gives the
-# merged cycle the effect (0, +1), which would hide that.
+# lowers a counter, so every run halts, but the budget is `inf`.
 PARALLEL_STAYS = """\
 machine parallel_stays
 kind dcm
@@ -130,18 +107,25 @@ trans r $ zz -> f S 0 0
 """
 
 
-def test_complement_certifies_parallel_stay_edges():
+def test_boolean_ops_on_an_infinite_budget():
+    """With `reversals inf` a counter may reverse forever, so an endless
+    stay run need not enter a stable cycle: complement, `or` and regular
+    concatenation raise InfiniteBudget.  The deterministic product needs
+    no halting runs, so `and` builds, and it agrees with the run."""
     m = parse_machine(PARALLEL_STAYS)
-    neg = boolean_dcm(m, None, "not")
+    for op, other in (("not", None), ("or", m)):
+        with pytest.raises(InfiniteBudget):
+            boolean_dcm(m, other, op)
+    with pytest.raises(InfiniteBudget):
+        prepare_for_regular_concat(parse_machine(
+            GUARDED_RISING_STAY.replace("reversals 1", "reversals inf")))
+    both = boolean_dcm(m, m, "and")
     for w in words_upto("a", 7):
-        run, run_neg = run_deterministic(m, w), run_deterministic(neg, w)
-        assert "diverge" not in (run.verdict, run_neg.verdict), w
-        assert (run.verdict == "accept") != (run_neg.verdict == "accept"), w
+        assert member(both, w) == (lasso_run(m, w)[0] == "accept"), w
 
 
-# The stay `q a z -> q S +1` rises, so the circulation LP, which ignores
-# guards, cannot certify it; but it leaves the counter positive, so it
-# never fires twice in a row, and the stay graph over guards has no cycle.
+# The stay `q a z -> q S +1` rises, but it leaves the counter positive, so
+# it never fires twice in a row: it is not stable, and nothing is cut.
 GUARDED_RISING_STAY = """\
 machine guarded_rising_stay
 kind dcm
@@ -161,13 +145,175 @@ trans r a z -> q S 0
 def test_boolean_ops_accept_stays_acyclic_over_guards():
     m = parse_machine(GUARDED_RISING_STAY)
     me = enforce_reversal_control(m)
-    assert stay_acyclic_check(me) and not stay_runs_terminate(me)
+    assert cons._halting(me) is me
     neg, both = boolean_dcm(m, None, "not"), boolean_dcm(m, m, "and")
     for w in words_upto("a", 7):
         expect = lasso_run(m, w)[0] == "accept"
         assert member(neg, w) != expect, w
         assert member(both, w) == expect, w
     prepare_for_regular_concat(m)
+
+
+# One stable stay cycle each: a stay move is stable when no delta is
+# negative and every counter guarded zero keeps delta 0.
+HALTING_CASES = {
+    # 'b' with a positive counter enters a rising stay loop on 'b'
+    "letter_cycle": """\
+machine letter_cycle
+kind dcm
+acceptance unmarked
+counters 1
+reversals 1
+alphabet a b
+states q r
+initial q
+final q
+trans q a * -> q R +1
+trans q b z -> q R 0
+trans q b p -> r S +1
+trans r b p -> r S +1
+""",
+    # after an 'a' the end-of-tape run shuttles between q and r
+    "eot_cycle_rejects": """\
+machine eot_cycle_rejects
+kind dcm
+acceptance marked
+counters 1
+reversals 1
+alphabet a
+states q r f
+initial q
+final f
+trans q a * -> q R +1
+trans q $ z -> f S 0
+trans q $ p -> r S 0
+trans r $ p -> q S +1
+""",
+    # the end-of-tape cycle r -> f -> r passes the final state f
+    "eot_cycle_accepts": """\
+machine eot_cycle_accepts
+kind dcm
+acceptance marked
+counters 1
+reversals 1
+alphabet a
+states q r f
+initial q
+final f
+trans q a * -> q R +1
+trans q $ p -> r S +1
+trans r $ p -> f S 0
+trans f $ p -> r S +1
+""",
+    # an 'a' read with the counter at zero bounces between q and r
+    "zero_guard_cycle": """\
+machine zero_guard_cycle
+kind dcm
+acceptance unmarked
+counters 1
+reversals 1
+alphabet a b
+states q r
+initial q
+final q
+trans q b * -> q R +1
+trans q a p -> q R -1
+trans q a z -> r S 0
+trans r a z -> q S 0
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALTING_CASES))
+def test_halting_cuts_each_stable_cycle(name):
+    """The cut machine accepts what the run of m accepts and never
+    diverges, on every word; so does the complement, which accepts
+    exactly the words m rejects.  On unmarked machines the regular
+    concatenation's preparation keeps the language too."""
+    m = parse_machine(HALTING_CASES[name])
+    me = enforce_reversal_control(m)
+    cut = cons._halting(me)
+    assert cut is not me
+    neg = boolean_dcm(m, None, "not")
+    prepared = None if m.marked else prepare_for_regular_concat(m)
+    for w in words_upto(m.alphabet, 5):
+        expect = lasso_run(m, w)[0]
+        for out, want in ((cut, expect == "accept"), (neg, expect != "accept"),
+                          (prepared, expect == "accept")):
+            if out is not None:
+                got = run_deterministic(out, w).verdict
+                assert got != "diverge" and (got == "accept") == want, (w, out.name)
+
+
+def _endless_stay_nodes(me):
+    """The (state, symbol, guard) nodes of budget-explicit `me` whose run,
+    started with each counter at 1 where the guard reads positive and 0
+    where it reads zero, takes stay moves forever; final states are
+    ignored."""
+    blind = replace(me, finals=frozenset())
+    symbols = me.alphabet + ((EOT,) if me.marked else ())
+    out = set()
+    for q in me.states:
+        for sym in symbols:
+            for g in all_guards(me.k):
+                start = (q, 0, tuple(int(c == POS) for c in g), q[1])
+                verdict, steps, _ = lasso_run(blind, "" if sym == EOT else sym, start=start)
+                if verdict == "diverge" and steps[-1][1] == 0:
+                    out.add((q, sym, g))
+    return out
+
+
+def test_halting_changes_only_machines_with_an_endless_stay_run(corpus_machines):
+    """`_halting(me) is me` exactly when no stay run of `me` is endless:
+    the run from a node of a stable cycle goes round it, and an endless
+    run enters one.  Every corpus machine keeps its outputs, and so does
+    each pool machine without an endless stay run."""
+    pool = [m for m in corpus_machines if m.deterministic]
+    for me in map(enforce_reversal_control, pool):
+        assert cons._halting(me) is me, me.name
+    pool += (machine_pool(9001, 80, alphabet="ab") + machine_pool(9002, 20, alphabet="a")
+             + machine_pool(8101, 20, stay_up=True, l=2))
+    kept = 0
+    for m in pool:
+        me = enforce_reversal_control(m)
+        same = cons._halting(me) is me
+        assert same == (not _endless_stay_nodes(me)), m.name
+        kept += same
+    assert 0 < kept < len(pool)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_boolean_ops_and_regular_concat_on_stay_up_pools(l):
+    """No deterministic machine with a finite budget is refused, and every
+    output agrees with the runs of its inputs on all words of up to 5
+    letters.  `and` runs on the consecutive pairs with at most 3 counters
+    in all, `or` on those with at most 2, to keep the products small."""
+    pool = machine_pool(8100 + l, 40, stay_up=True, l=l)
+    truth = [{w: lasso_run(m, w)[0] == "accept" for w in words_upto(m.alphabet, 5)}
+             for m in pool]
+
+    def agrees(out, want):
+        for w, expect in want.items():
+            got = run_deterministic(out, w).verdict
+            assert (got == "accept") == expect, (out.name, w)
+
+    bstar = Dfa(frozenset({0, 1}), ("a", "b"), 0, frozenset({0}),
+                {(0, "b"): 0, (0, "a"): 1, (1, "a"): 1, (1, "b"): 1})
+    for m, t in zip(pool, truth):
+        agrees(boolean_dcm(m, None, "not"), {w: not x for w, x in t.items()})
+        if not m.marked:
+            out = concat_dcmne_regular(prepare_for_regular_concat(m), bstar)
+            agrees(out, {w: any(t[w[:i]] and dfa_member(bstar, w[i:])
+                                for i in range(len(w) + 1)) for w in t})
+    pairs = 0
+    for i in range(len(pool) - 1):
+        a, b, ta, tb = pool[i], pool[i + 1], truth[i], truth[i + 1]
+        if a.k + b.k <= 3:
+            agrees(boolean_dcm(a, b, "and"), {w: ta[w] and tb[w] for w in ta})
+            pairs += 1
+        if a.k + b.k <= 2:
+            agrees(boolean_dcm(a, b, "or"), {w: ta[w] or tb[w] for w in ta})
+    assert pairs
 
 
 def test_strip_end_marker_examples(m_ab):
@@ -208,7 +354,6 @@ def test_concat_pf_dcmne_dcm_examples(m_ab):
 
 def _widen(m, alphabet):
     """Same machine over a larger alphabet (extra letters never accepted)."""
-    from dataclasses import replace
     return replace(m, alphabet=tuple(alphabet))
 
 
@@ -280,7 +425,8 @@ trans q4 $ z -> acc S 0
 
 def test_inverse_prefix_accepts_terminating_stay_drain():
     m = parse_machine(DRAIN)
-    assert not stay_acyclic_check(enforce_reversal_control(m))
+    me = enforce_reversal_control(m)
+    assert cons._halting(me) is me
     pref = inverse_prefix_dcm1(m)
     for w in words_upto("ab", 7):
         expect = any(naive_member(m, w[:i]) for i in range(len(w) + 1))
