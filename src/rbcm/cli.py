@@ -212,7 +212,7 @@ def _cmd_compare(args, rep):
 
 # Each op maps to (argument kinds, callable).  Kinds: "m" machine file,
 # "t" transducer file, "d" counterless machine file read as a DFA,
-# "w" literal word, "s" literal token, "i" literal integer.
+# "w" literal word, "s" insertion mode, "i" gap count (an integer >= 1).
 _OPS = {
     "to_one_reversal": ("m", decide.to_one_reversal),
     "product_intersection": ("mm", constructions.product_intersection),
@@ -235,13 +235,28 @@ _OPS = {
     "forward_image_ncm": ("t", transducer.forward_image_ncm),
 }
 
+
+def _insertion_mode(s):
+    modes = constructions.INSERTION_MODES
+    if s not in modes:
+        raise ValueError(f"not an insertion mode; one of {', '.join(modes)}")
+    return s
+
+
+def _gap_count(s):
+    gaps = int(s)
+    if gaps < 1:
+        raise ValueError("embed needs at least one gap")
+    return gaps
+
+
 _LOADERS = {
     "m": _load_machine,
     "t": _load_transducer,
     "d": _load_dfa,
     "w": lambda s: s,
-    "s": lambda s: s,
-    "i": int,
+    "s": _insertion_mode,
+    "i": _gap_count,
 }
 
 

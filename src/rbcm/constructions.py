@@ -4,7 +4,10 @@ Products, boolean combinations, end-marker elimination for one-counter
 machines, concatenations with regular and prefix-free languages, word
 quotients, and inverse-insertion operations.  Every construction
 re-derives budget-explicit control first, so reversal budgets survive
-composition.
+composition.  Each one then gives the moves of one state of its output,
+and `build_machine` explores them from the initial state: only reached
+states are expanded, and each state's moves follow its input's order,
+with any extra move (a sink, a gap, a handover) after them.
 """
 
 from __future__ import annotations
@@ -36,32 +39,33 @@ def _check_alphabets(a, b):
 # intersection products
 
 
+def _by_source(transitions) -> dict:
+    """src -> its transitions, in the given order."""
+    out = {}
+    for t in transitions:
+        out.setdefault(t.src, []).append(t)
+    return out
+
+
 def intersect_regular(m: CounterMachine, d: Dfa) -> CounterMachine:
-    """Machine for L(m) restricted to the DFA's language.  Only the
-    (state, DFA state) pairs reachable from the initial pair are built;
-    each pair keeps its state's transitions in the machine's order."""
+    """Machine for L(m) restricted to the DFA's language.  A (state, DFA
+    state) pair moves as its state does, in the machine's order, and the
+    DFA follows every move that reads a letter."""
     _check_alphabets(m.alphabet, d.alphabet)
     problems = validate_dfa(d)
     if problems:
         raise PreconditionViolated("; ".join(problems))
-    by_src = {}
-    for t in m.transitions:
-        by_src.setdefault(t.src, []).append(t)
-    init = (m.initial, d.initial)
-    seen = {init}
-    work = [init]
-    transitions = []
-    while work:
-        q, s = src = work.pop()
-        for _, sym, guard, t_dst, move, deltas, output in by_src.get(q, ()):
-            dst = (t_dst, d.delta[s, sym] if move == RIGHT else s)
-            transitions.append(Transition(src, sym, guard, dst, move, deltas, output))
-            if dst not in seen:
-                seen.add(dst)
-                work.append(dst)
-    finals = {(q, s) for q in m.finals for s in d.finals}
+    by_src = _by_source(m.transitions)
+
+    def moves(src):
+        q, s = src
+        return [Transition(src, sym, guard, (t_dst, d.delta[s, sym] if move == RIGHT else s),
+                           move, deltas, output)
+                for _, sym, guard, t_dst, move, deltas, output in by_src.get(q, ())]
+
     return build_machine(
-        m.name + "_x_dfa", m.k, m.l, m.alphabet, init, finals, transitions,
+        m.name + "_x_dfa", m.k, m.l, m.alphabet, (m.initial, d.initial),
+        lambda st: st[0] in m.finals and st[1] in d.finals, moves,
         marked=m.marked, deterministic=m.deterministic,
         budget_explicit=m.budget_explicit)
 
@@ -88,21 +92,12 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
     F1, F2 = m1e.finals, m2e.finals
     init = (m1e.initial, m2e.initial,
             m1e.initial in F1, m2e.initial in F2)
-    transitions = []
-    seen = {init}
-    work = [init]
     has_eot = any(t.symbol == EOT for t in m1e.transitions + m2e.transitions)
     split1, split2 = {}, {}     # (q, sym) -> _split_moves of that component
-    while work:
-        st = work.pop()
+
+    def moves(st):
         q1, q2, f1, f2 = st
-
-        def emit2(sym, guard, dst, move, deltas):
-            transitions.append(Transition(st, sym, guard, dst, move, deltas))
-            if dst not in seen:
-                seen.add(dst)
-                work.append(dst)
-
+        out = []
         for sym in m1e.alphabet:
             rows1 = split1.get((q1, sym))
             if rows1 is None:
@@ -114,14 +109,17 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
                 for g2, s2, r2 in rows2:
                     guard = g1 + g2
                     for dst, deltas in s1:
-                        emit2(sym, guard, (dst, q2, dst in F1, f2), STAY, deltas + z2)
+                        out.append(Transition(st, sym, guard, (dst, q2, dst in F1, f2),
+                                              STAY, deltas + z2))
                     if det and s1:
                         continue    # deterministic: component one stays first
                     for dst, deltas in s2:
-                        emit2(sym, guard, (q1, dst, f1, dst in F2), STAY, z1 + deltas)
+                        out.append(Transition(st, sym, guard, (q1, dst, f1, dst in F2),
+                                              STAY, z1 + deltas))
                     for da, dla in r1:
                         for db, dlb in r2:
-                            emit2(sym, guard, (da, db, da in F1, db in F2), RIGHT, dla + dlb)
+                            out.append(Transition(st, sym, guard, (da, db, da in F1, db in F2),
+                                                  RIGHT, dla + dlb))
         if has_eot:
             # A deterministic product schedules the component that still
             # needs to accept: a component that already has its flag may
@@ -134,17 +132,16 @@ def product_intersection(m1: CounterMachine, m2: CounterMachine) -> CounterMachi
                     t2s = i2.get((q2, EOT), {}).get(g2, ()) if run2 else ()
                     guard = g1 + g2
                     for t in t1s:
-                        emit2(EOT, guard,
-                              (t.dst, q2, f1 or t.dst in F1, f2),
-                              STAY, t.deltas + z2)
+                        out.append(Transition(st, EOT, guard, (t.dst, q2, f1 or t.dst in F1, f2),
+                                              STAY, t.deltas + z2))
                     for t in t2s:
-                        emit2(EOT, guard,
-                              (q1, t.dst, f1, f2 or t.dst in F2),
-                              STAY, z1 + t.deltas)
-    finals = {s for s in seen if s[2] and s[3]}
+                        out.append(Transition(st, EOT, guard, (q1, t.dst, f1, f2 or t.dst in F2),
+                                              STAY, z1 + t.deltas))
+        return out
+
     return build_machine(
         f"({m1.name}&{m2.name})", k1 + k2, combine_budgets(m1.l, m2.l),
-        m1e.alphabet, init, finals, transitions,
+        m1e.alphabet, init, lambda st: st[2] and st[3], moves,
         deterministic=det)
 
 
@@ -212,24 +209,26 @@ def _complement(m: CounterMachine) -> CounterMachine:
         raise PreconditionViolated("complement needs a deterministic machine")
     me = totalize_dead_state(_halting(enforce_reversal_control(m)))
     idx = _index(me)
+    by_src = _by_source(me.transitions)
     F = me.finals
     ok = ("complement_ok",)
-    transitions = []
-    for src, sym, guard, dst, move, deltas, output in me.transitions:
-        is_eot = sym == EOT
-        in_f = dst in F
-        for f in (False, True):
-            transitions.append(Transition(
-                (src, f), sym, guard, (dst, (f or in_f) if is_eot else in_f),
-                move, deltas, output))
-    for q in me.states:
-        for g in all_guards(me.k):
-            if not idx.get((q, EOT), {}).get(g, ()):
-                transitions.append(Transition(
-                    (q, False), EOT, g, ok, STAY, (0,) * me.k))
+
+    def moves(st):
+        # (q, f): f records whether the end-of-input run has passed a final
+        if st == ok:
+            return []
+        q, f = st
+        out = [Transition(st, sym, guard, (dst, (f or dst in F) if sym == EOT else dst in F),
+                          move, deltas, output)
+               for _, sym, guard, dst, move, deltas, output in by_src.get(q, ())]
+        if not f:
+            out += [Transition(st, EOT, g, ok, STAY, (0,) * me.k)
+                    for g in all_guards(me.k) if not idx.get((q, EOT), {}).get(g, ())]
+        return out
+
     return build_machine(
         "not_" + m.name, me.k, me.l, me.alphabet,
-        (me.initial, me.initial in F), {ok}, transitions,
+        (me.initial, me.initial in F), lambda st: st == ok, moves,
         marked=True, deterministic=True)
 
 
@@ -386,48 +385,30 @@ def strip_end_marker_one_counter(m: CounterMachine, return_info: bool = False):
     tail, loop, accepts = align_unary_family(behaviors)
     accept_of = dict(zip(order, accepts))
 
-    transitions = set()
-    for t in me.transitions:
-        if t.symbol == EOT:
-            continue
-        alpha = t.deltas[0]
-        g = t.guard[0]
-        if g == ZERO:
-            transitions.add(Transition(
-                Lemma1State(t.src, 0, 0), t.symbol, ZERO,
-                Lemma1State(t.dst, alpha, 0), t.move, (0,)))
-            continue
-        for d in range(1, tail + 1):
-            if 0 <= d + alpha <= tail:
-                transitions.add(Transition(
-                    Lemma1State(t.src, d, 0), t.symbol, ZERO,
-                    Lemma1State(t.dst, d + alpha, 0), t.move, (0,)))
-        if alpha >= 0:
-            for j in range(loop):
-                transitions.add(Transition(
-                    Lemma1State(t.src, tail, j), t.symbol, POS,
-                    Lemma1State(t.dst, tail, (j + alpha) % loop), t.move, (alpha,)))
-            transitions.add(Transition(
-                Lemma1State(t.src, tail, 0), t.symbol, ZERO,
-                Lemma1State(t.dst, tail, alpha % loop), t.move, (alpha,)))
-        else:
-            for j in range(loop):
-                transitions.add(Transition(
-                    Lemma1State(t.src, tail, j), t.symbol, POS,
-                    Lemma1State(t.dst, tail, (j - 1) % loop), t.move, (-1,)))
+    by_src = _by_source(t for t in me.transitions if t.symbol != EOT)
 
-    finals = set()
-    for q in order:
-        acc = accept_of[q]
-        for d in range(tail):
-            if d in acc:
-                finals.add(Lemma1State(q, d, 0))
-        for j in range(loop):
-            if tail + j in acc:
-                finals.add(Lemma1State(q, tail, j))
+    def moves(st):
+        # d < tail implies j = 0: only d = tail tracks the excess's phase
+        d, j = st.d, st.j
+        out = []
+        for _, sym, guard, dst, move, (alpha,), _ in by_src.get(st.base, ()):
+            if guard == ZERO:
+                if d == j == 0:
+                    out.append(Transition(st, sym, ZERO, Lemma1State(dst, alpha, 0), move, (0,)))
+                continue
+            if j == 0 and 1 <= d <= tail and 0 <= d + alpha <= tail:
+                out.append(Transition(st, sym, ZERO, Lemma1State(dst, d + alpha, 0), move, (0,)))
+            if d == tail:
+                out.append(Transition(st, sym, POS, Lemma1State(dst, tail, (j + alpha) % loop),
+                                      move, (alpha,)))
+                if j == 0 and alpha >= 0:
+                    out.append(Transition(st, sym, ZERO, Lemma1State(dst, tail, alpha % loop),
+                                          move, (alpha,)))
+        return out
+
     out = build_machine(
-        m.name + "_nomark", 1, m.l, m.alphabet,
-        Lemma1State(me.initial, 0, 0), finals, tuple(transitions),
+        m.name + "_nomark", 1, m.l, m.alphabet, Lemma1State(me.initial, 0, 0),
+        lambda st: st.d <= tail and st.d + st.j in accept_of[st.base], moves,
         marked=False, deterministic=True)
     if return_info:
         return out, {"tail": tail, "loop": loop, "annotated": me,
@@ -461,22 +442,22 @@ def concat_pf_dcmne_dcm(m1: CounterMachine, m2: CounterMachine) -> CounterMachin
     k1, k2 = m1e.k, m2e.k
     z1, z2 = (0,) * k1, (0,) * k2
     bstart = ("b", m2e.initial)
-    transitions = []
-    for t in m1e.transitions:
-        dst = bstart if t.dst in m1e.finals else ("a", t.dst)
-        transitions.append(Transition(
-            ("a", t.src), t.symbol, t.guard + ZERO * k2, dst, t.move,
-            t.deltas + z2))
-    for t in m2e.transitions:
-        for g1 in all_guards(k1):
-            transitions.append(Transition(
-                ("b", t.src), t.symbol, g1 + t.guard, ("b", t.dst), t.move,
-                z1 + t.deltas))
+    by_src1, by_src2 = _by_source(m1e.transitions), _by_source(m2e.transitions)
+
+    def moves(st):
+        side, q = st
+        if side == "a":
+            return [Transition(st, t.symbol, t.guard + ZERO * k2,
+                               bstart if t.dst in m1e.finals else ("a", t.dst), t.move,
+                               t.deltas + z2)
+                    for t in by_src1.get(q, ())]
+        return [Transition(st, t.symbol, g1 + t.guard, ("b", t.dst), t.move, z1 + t.deltas)
+                for t in by_src2.get(q, ()) for g1 in all_guards(k1)]
+
     initial = bstart if m1e.initial in m1e.finals else ("a", m1e.initial)
-    finals = {("b", f) for f in m2e.finals}
     return build_machine(
         f"({m1.name}.{m2.name})", k1 + k2, combine_budgets(m1.l, m2.l),
-        m1e.alphabet, initial, finals, transitions,
+        m1e.alphabet, initial, lambda st: st[0] == "b" and st[1] in m2e.finals, moves,
         marked=m2e.marked, deterministic=True)
 
 
@@ -506,11 +487,10 @@ def concat_dcmne_regular(m1: CounterMachine, d2: Dfa) -> CounterMachine:
     F1 = m1.finals
     init = (m1.initial,
             frozenset({d2.initial}) if m1.initial in F1 else frozenset())
-    transitions = []
-    seen = {init}
-    work = [init]
-    while work:
-        q, ys = work.pop()
+
+    def moves(src):
+        q, ys = src
+        out = []
         for sym in m1.alphabet:
             for g in all_guards(m1.k):
                 ts = idx.get((q, sym), {}).get(g, ())
@@ -524,15 +504,12 @@ def concat_dcmne_regular(m1: CounterMachine, d2: Dfa) -> CounterMachine:
                     if t.dst in F1:
                         zs.add(d2.initial)
                     dst = (t.dst, frozenset(zs))
-                transitions.append(Transition(
-                    (q, ys), sym, g, dst, t.move, t.deltas))
-                if dst not in seen:
-                    seen.add(dst)
-                    work.append(dst)
-    finals = {s for s in seen if s[1] & d2.finals}
+                out.append(Transition(src, sym, g, dst, t.move, t.deltas))
+        return out
+
     return build_machine(
-        m1.name + "_cat_reg", m1.k, m1.l, m1.alphabet, init, finals,
-        transitions, marked=False, deterministic=True)
+        m1.name + "_cat_reg", m1.k, m1.l, m1.alphabet, init,
+        lambda st: st[1] & d2.finals, moves, marked=False, deterministic=True)
 
 
 def concat_dcm1_regular(m: CounterMachine, d: Dfa) -> CounterMachine:
@@ -579,19 +556,18 @@ def left_quotient_word(m: CounterMachine, w: str) -> CounterMachine:
     if any(ch not in m.alphabet for ch in w):
         raise PreconditionViolated("quotient word uses foreign symbols")
     me = enforce_reversal_control(m)
-    empty = build_machine(m.name + "_quo", me.k, me.l, me.alphabet,
-                          ("quotient_empty",), set(), (),
-                          marked=False, deterministic=True)
     trace = run_deterministic(me, w)
     for boundary, consumed, targets, _budgets, _t in trace.steps.rows:
         if consumed == len(w):
             break
     else:
-        return empty
+        return build_machine(m.name + "_quo", me.k, me.l, me.alphabet,
+                             ("quotient_empty",), lambda q: False, lambda q: (),
+                             marked=False, deterministic=True)
     total = sum(targets)
     if total == 0:
         return replace(me, initial=boundary, name=m.name + "_quo")
-    transitions = list(me.transitions)
+    by_src = _by_source(me.transitions)
     vals = [0] * me.k
     src = ("prime", 0)
     step_no = 0
@@ -603,11 +579,12 @@ def left_quotient_word(m: CounterMachine, w: str) -> CounterMachine:
             step_no += 1
             done = step_no == total
             dst = boundary if done else ("prime", step_no)
-            for sym in tuple(me.alphabet) + (EOT,):
-                transitions.append(Transition(src, sym, guard, dst, STAY, deltas))
+            by_src.setdefault(src, []).extend(
+                Transition(src, sym, guard, dst, STAY, deltas)
+                for sym in tuple(me.alphabet) + (EOT,))
             src = dst
     return build_machine(m.name + "_quo", me.k, me.l, me.alphabet,
-                         ("prime", 0), me.finals, transitions,
+                         ("prime", 0), me.finals.__contains__, lambda q: by_src.get(q, ()),
                          marked=True, deterministic=True)
 
 
@@ -617,10 +594,9 @@ def left_quotient_word(m: CounterMachine, w: str) -> CounterMachine:
 
 def sigma_plus_machine(alphabet) -> CounterMachine:
     """Counter-free machine for all non-empty words."""
-    transitions = [Transition("s0", x, "", "s1", RIGHT, ()) for x in alphabet]
-    transitions += [Transition("s1", x, "", "s1", RIGHT, ()) for x in alphabet]
-    return build_machine("sigma_plus", 0, 0, alphabet, "s0", {"s1"},
-                         transitions, marked=False, deterministic=True)
+    return build_machine("sigma_plus", 0, 0, alphabet, "s0", lambda q: q == "s1",
+                         lambda q: [Transition(q, x, "", "s1", RIGHT, ()) for x in alphabet],
+                         marked=False, deterministic=True)
 
 
 def sigma_star_machine(alphabet) -> CounterMachine:
@@ -647,52 +623,49 @@ def concat_ncm(m1: CounterMachine, m2: CounterMachine) -> CounterMachine:
     k1, k2 = m1e.k, m2e.k
     z1, z2 = (0,) * k1, (0,) * k2
     zg2 = ZERO * k2
-    transitions = []
+    by_src1, by_src2 = _by_source(m1e.transitions), _by_source(m2e.transitions)
+    m2_initial_ts = [t for t in by_src2.get(m2e.initial, ())
+                     if t.symbol != EOT and t.guard == zg2]
+    start = ("start",)
 
-    def a(q, fresh=True):
-        return ("a", q, fresh)
-
-    def e(q):
-        return ("e", q)
-
-    def b(q):
-        return ("b", q)
-
-    for q, sym, guard, dst, move, deltas, _ in m1e.transitions:
-        guard, deltas = guard + zg2, deltas + z2
-        if sym == EOT:
-            for src in (a(q), e(q)):
-                for x in m1e.alphabet:
-                    transitions.append(Transition(src, x, guard, e(dst), STAY, deltas))
-                transitions.append(Transition(src, EOT, guard, e(dst), STAY, deltas))
-        else:
-            dst_fresh = move == RIGHT
-            for fresh in (True, False):
-                transitions.append(Transition(
-                    a(q, fresh), sym, guard, a(dst, dst_fresh), move, deltas))
-    m2_initial_ts = [t for t in m2e.transitions
-                     if t.src == m2e.initial and t.symbol != EOT
-                     and t.guard == ZERO * k2]
-    for f in m1e.finals:
-        for src in (a(f), e(f)):
+    def moves(st):
+        # ("a", q, fresh): reading with m1; ("e", q): m1's end-of-input
+        # replay; ("b", q): reading with m2
+        if st == start:
+            return [t._replace(src=st) for t in moves(("a", m1e.initial, True))]
+        side, q = st[:2]
+        out = []
+        if side == "b":
+            for _, sym, guard, dst, move, deltas, _ in by_src2.get(q, ()):
+                dst, deltas = ("b", dst), z1 + deltas
+                out += [Transition(st, sym, g1 + guard, dst, move, deltas)
+                        for g1 in all_guards(k1)]
+            return out
+        fresh = side == "e" or st[2]
+        for _, sym, guard, dst, move, deltas, _ in by_src1.get(q, ()):
+            guard, deltas = guard + zg2, deltas + z2
+            if sym == EOT:
+                if fresh:
+                    out += [Transition(st, x, guard, ("e", dst), STAY, deltas)
+                            for x in (*m1e.alphabet, EOT)]
+            elif side == "a":
+                out.append(Transition(st, sym, guard, ("a", dst, move == RIGHT), move, deltas))
+        if fresh and q in m1e.finals:
             for g1 in all_guards(k1):
-                for t in m2_initial_ts:
-                    transitions.append(Transition(
-                        src, t.symbol, g1 + t.guard, b(t.dst), t.move,
-                        z1 + t.deltas))
-                transitions.append(Transition(
-                    src, EOT, g1 + zg2, b(m2e.initial), STAY, z1 + z2))
-    for src, sym, guard, dst, move, deltas, _ in m2e.transitions:
-        src, dst, deltas = b(src), b(dst), z1 + deltas
-        for g1 in all_guards(k1):
-            transitions.append(Transition(src, sym, g1 + guard, dst, move, deltas))
-    initial = ("start",)
-    a0 = a(m1e.initial)
-    transitions += [t._replace(src=initial) for t in transitions if t.src == a0]
-    finals = {b(f) for f in m2e.finals}
+                out += [Transition(st, t.symbol, g1 + t.guard, ("b", t.dst), t.move,
+                                   z1 + t.deltas) for t in m2_initial_ts]
+                out.append(Transition(st, EOT, g1 + zg2, ("b", m2e.initial), STAY, z1 + z2))
+        return out
+
+    # marked whenever some state, reached or not, would have a `$` move
     return build_machine(
         f"({m1.name}.{m2.name})", k1 + k2, combine_budgets(m1.l, m2.l),
-        m1e.alphabet, initial, finals, transitions, deterministic=False)
+        m1e.alphabet, start, lambda st: st[0] == "b" and st[1] in m2e.finals, moves,
+        marked=bool(m1e.finals) or any(t.symbol == EOT for t in m1e.transitions + m2e.transitions),
+        deterministic=False)
+
+
+INSERTION_MODES = ("prefix", "suffix", "infix", "outfix", "embed")
 
 
 def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> CounterMachine:
@@ -714,35 +687,34 @@ def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> Counte
         # the handover into the anything-goes sink is only allowed from
         # fresh states where no peek is pending.
         sink = ("post",)
-        transitions = []
-        for src, sym, guard, dst, move, deltas, output in me.transitions:
-            dst = (dst, move == RIGHT)
-            for fresh in (True, False):
-                transitions.append(Transition(
-                    (src, fresh), sym, guard, dst, move, deltas, output))
-        for f in me.finals:
-            for x in me.alphabet:
-                for g in all_guards(k):
-                    transitions.append(Transition(
-                        (f, True), x, g, sink, RIGHT, (0,) * k))
-        for x in me.alphabet:
-            for g in all_guards(k):
-                transitions.append(Transition(sink, x, g, sink, RIGHT, (0,) * k))
-        finals = {(f, fresh) for f in me.finals for fresh in (True, False)}
+        by_src = _by_source(me.transitions)
+
+        def moves(st):
+            to_sink = [Transition(st, x, g, sink, RIGHT, (0,) * k)
+                       for x in me.alphabet for g in all_guards(k)]
+            if st == sink:
+                return to_sink
+            q, fresh = st
+            out = [Transition(st, sym, guard, (dst, move == RIGHT), move, deltas, output)
+                   for _, sym, guard, dst, move, deltas, output in by_src.get(q, ())]
+            return out + to_sink if fresh and q in me.finals else out
+
         return build_machine(m.name + "_insuffix", k, me.l, me.alphabet,
-                             (me.initial, True), finals | {sink}, transitions,
-                             marked=False, deterministic=False)
+                             (me.initial, True), lambda st: st == sink or st[0] in me.finals,
+                             moves, marked=False, deterministic=False)
     if mode == "suffix":
         skip = ("pre",)
-        transitions = list(me.transitions)
-        for x in me.alphabet:
-            transitions.append(Transition(skip, x, ZERO * k, skip, RIGHT, (0,) * k))
-        transitions += [t._replace(src=skip) for t in me.transitions if t.src == me.initial]
-        finals = set(me.finals)
-        if me.initial in me.finals:
-            finals.add(skip)
+        by_src = _by_source(me.transitions)
+
+        def moves(q):
+            if q != skip:
+                return by_src.get(q, ())
+            return ([Transition(skip, x, ZERO * k, skip, RIGHT, (0,) * k) for x in me.alphabet]
+                    + [t._replace(src=skip) for t in by_src.get(me.initial, ())])
+
         return build_machine(m.name + "_insprefix", k, me.l, me.alphabet, skip,
-                             finals, transitions, marked=me.marked, deterministic=False)
+                             lambda q: q in me.finals or q == skip and me.initial in me.finals,
+                             moves, marked=me.marked, deterministic=False)
     if mode == "infix":
         return replace(
             inverse_insertion_ncm(inverse_insertion_ncm(m, "suffix"), "prefix"),
@@ -757,33 +729,25 @@ def inverse_insertion_ncm(m: CounterMachine, mode: str, gaps: int = 1) -> Counte
     # Simulation states carry a freshness flag (see the prefix mode):
     # opening a gap is only allowed when the simulated machine has no
     # pending peek at the current letter.
-    transitions = []
-    for src, sym, guard, dst, move, deltas, output in me.transitions:
-        for g in range(gaps + 1):
-            for fresh in (True, False):
-                transitions.append(Transition(
-                    (src, "sim", g, fresh), sym, guard,
-                    (dst, "sim", g, fresh if sym == EOT else move == RIGHT),
-                    move, deltas, output))
-            transitions.append(Transition(
-                (src, "gap", g), sym, guard, (dst, "sim", g, move == RIGHT),
-                move, deltas, output))
-    for q in me.states:
-        for g in range(gaps):
-            for x in me.alphabet:
-                for gg in all_guards(k):
-                    transitions.append(Transition(
-                        (q, "sim", g, True), x, gg, (q, "gap", g + 1),
-                        RIGHT, (0,) * k))
-    for q in me.states:
-        for g in range(1, gaps + 1):
-            for x in me.alphabet:
-                for gg in all_guards(k):
-                    transitions.append(Transition(
-                        (q, "gap", g), x, gg, (q, "gap", g), RIGHT, (0,) * k))
-    finals = {(f, "sim", g, fresh) for f in me.finals
-              for g in range(gaps + 1) for fresh in (True, False)}
-    finals |= {(f, "gap", g) for f in me.finals for g in range(gaps + 1)}
+    by_src = _by_source(me.transitions)
+
+    def moves(st):
+        # (q, "sim", g, fresh) simulates with g gaps opened so far;
+        # (q, "gap", g) skips the letters of gap g
+        q, phase, g = st[:3]
+        fresh = phase == "sim" and st[3]
+        out = [Transition(st, sym, guard,
+                          (dst, "sim", g, fresh if sym == EOT else move == RIGHT),
+                          move, deltas, output)
+               for _, sym, guard, dst, move, deltas, output in by_src.get(q, ())]
+        if fresh and g < gaps:
+            out += [Transition(st, x, gg, (q, "gap", g + 1), RIGHT, (0,) * k)
+                    for x in me.alphabet for gg in all_guards(k)]
+        elif phase == "gap":
+            out += [Transition(st, x, gg, st, RIGHT, (0,) * k)
+                    for x in me.alphabet for gg in all_guards(k)]
+        return out
+
     return build_machine(m.name + f"_embed{gaps}", k, me.l, me.alphabet,
-                         (me.initial, "sim", 0, True), finals, transitions,
+                         (me.initial, "sim", 0, True), lambda st: st[0] in me.finals, moves,
                          marked=me.marked, deterministic=False)

@@ -176,15 +176,16 @@ def _reachable(seeds, edges) -> dict:
     adj = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
-    return _walk(seeds, adj)
+    return _walk(seeds, lambda u: adj.get(u, ()))
 
 
-def _walk(seeds, adj) -> dict:
-    """`_reachable` over an adjacency dict: node -> [successors]."""
+def _walk(seeds, succ) -> dict:
+    """`_reachable` over a successor function: node -> its successors.
+    `succ` is called once per node reached."""
     seen = dict.fromkeys(seeds)
     work = list(seen)
     while work:
-        for v in adj.get(work.pop(), ()):
+        for v in succ(work.pop()):
             if v not in seen:
                 seen[v] = None
                 work.append(v)
@@ -475,27 +476,36 @@ def combine_budgets(l1, l2):
     return max(l1, l2)
 
 
-def build_machine(name, k, l, alphabet, initial, finals, transitions, *,
+def build_machine(name, k, l, alphabet, initial, is_final, moves, *,
                   marked=None, deterministic, budget_explicit=True) -> CounterMachine:
-    """Assemble a machine from a sequence of transitions, keeping only
-    the states reachable from `initial` and, in input order, the first
-    occurrence of each transition out of them.  The states are found
-    first, so only those transitions are hashed.  `marked` defaults to
-    whether any given transition, reachable or not, reads the end-of-tape
+    """Write out the machine that the move function `moves(state)`, the
+    transitions out of one state, describes from `initial`.
+
+    One walk from `initial` calls `moves` once per reached state.  The
+    states are the reached ones, in the order the walk finds them, and
+    the finals are those that `is_final` picks.  The transitions are
+    each reached state's in the order `moves` gives them, with repeats
+    dropped, so every (state, symbol, guard) key keeps its order.
+    `marked` defaults to whether a kept transition reads the end-of-tape
     marker."""
+    kept = {}
+
+    def succ(q):
+        ts = dict.fromkeys(moves(q))
+        kept.update(ts)
+        return [t.dst for t in ts]
+
+    states = _walk([initial], succ)
+    transitions = tuple(kept)
     if marked is None:
         marked = any(t.symbol == EOT for t in transitions)
-    adj = {}
-    for t in transitions:
-        adj.setdefault(t.src, []).append(t.dst)
-    states = _walk([initial], adj)
     return CounterMachine(
         name=name, k=k, l=l,
         states=frozenset(states),
         alphabet=tuple(alphabet),
         initial=initial,
-        finals=frozenset(f for f in finals if f in states),
-        transitions=tuple(dict.fromkeys([t for t in transitions if t.src in states])),
+        finals=frozenset(filter(is_final, states)),
+        transitions=transitions,
         marked=marked,
         deterministic=deterministic,
         budget_explicit=budget_explicit,

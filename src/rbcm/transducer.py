@@ -97,26 +97,17 @@ def inverse_apply(t: CounterTransducer, a: CounterMachine) -> CounterMachine:
     zt, za = (0,) * kt, (0,) * ka
     in_syms = tuple(mt.alphabet) + (EOT,)
     init = (mt.initial, "", ma.initial, False)
-    transitions = []
-    seen = {init}
-    work = [init]
-    while work:
-        st = work.pop()
+
+    def moves(st):
         qt, buf, qa, sealed = st
-
-        def push(sym, guard, dst, move, deltas):
-            transitions.append(Transition(st, sym, guard, dst, move, deltas))
-            if dst not in seen:
-                seen.add(dst)
-                work.append(dst)
-
+        out = []
         if sealed:
             for ga in all_guards(ka):
                 for tr in ia.get((qa, EOT), {}).get(ga, ()):
                     dst, deltas = (qt, "", tr.dst, True), zt + tr.deltas
                     for gt in all_guards(kt):
-                        push(EOT, gt + ga, dst, STAY, deltas)
-            continue
+                        out.append(Transition(st, EOT, gt + ga, dst, STAY, deltas))
+            return out
         if buf:
             for ga in all_guards(ka):
                 for tr in ia.get((qa, buf[0]), {}).get(ga, ()):
@@ -124,22 +115,24 @@ def inverse_apply(t: CounterTransducer, a: CounterMachine) -> CounterMachine:
                     deltas = zt + tr.deltas
                     for gt in all_guards(kt):
                         for x in in_syms:
-                            push(x, gt + ga, dst, STAY, deltas)
-            continue
+                            out.append(Transition(st, x, gt + ga, dst, STAY, deltas))
+            return out
         for sym in in_syms:
             for gt in all_guards(kt):
                 for _, _, _, t_dst, move, deltas, output in it.get((qt, sym), {}).get(gt, ()):
                     dst, deltas = (t_dst, output, qa, False), deltas + za
                     for ga in all_guards(ka):
-                        push(sym, gt + ga, dst, move, deltas)
+                        out.append(Transition(st, sym, gt + ga, dst, move, deltas))
         if qt in mt.finals:
             for gt in all_guards(kt):
                 for ga in all_guards(ka):
-                    push(EOT, gt + ga, (qt, "", qa, True), STAY, zt + za)
-    finals = {s for s in seen if s[3] and not s[1] and s[2] in ma.finals}
+                    out.append(Transition(st, EOT, gt + ga, (qt, "", qa, True), STAY, zt + za))
+        return out
+
     return build_machine(
         t.machine.name + "_invapply", kt + ka,
-        combine_budgets(t.machine.l, a.l), mt.alphabet, init, finals, transitions,
+        combine_budgets(t.machine.l, a.l), mt.alphabet, init,
+        lambda s: s[3] and not s[1] and s[2] in ma.finals, moves,
         marked=True, deterministic=False)
 
 
@@ -156,35 +149,27 @@ def forward_image_ncm(t: CounterTransducer) -> CounterMachine:
     out_syms = tuple(t.out_alphabet)
     stay_syms = out_syms + (EOT,)
     init = (mt.initial, "", "r")
-    transitions = []
-    seen = {init}
-    work = [init]
-    while work:
-        st = work.pop()
+
+    def moves(st):
         qt, buf, phase = st
-
-        def push(sym, guard, dst, move, deltas):
-            transitions.append(Transition(st, sym, guard, dst, move, deltas))
-            if dst not in seen:
-                seen.add(dst)
-                work.append(dst)
-
         if buf:
-            for gt in all_guards(kt):
-                push(buf[0], gt, (qt, buf[1:], phase), RIGHT, (0,) * kt)
-            continue
+            return [Transition(st, buf[0], gt, (qt, buf[1:], phase), RIGHT, (0,) * kt)
+                    for gt in all_guards(kt)]
+        out = []
         guessable = tuple(mt.alphabet) + (EOT,) if phase == "r" else (EOT,)
         for sym in guessable:
             nphase = "e" if sym == EOT else "r"
             for gt in all_guards(kt):
                 for tr in it.get((qt, sym), {}).get(gt, ()):
                     if tr.output:
-                        push(tr.output[0], gt, (tr.dst, tr.output[1:], nphase),
-                             RIGHT, tr.deltas)
+                        out.append(Transition(st, tr.output[0], gt,
+                                              (tr.dst, tr.output[1:], nphase), RIGHT, tr.deltas))
                     else:
                         for x in stay_syms:
-                            push(x, gt, (tr.dst, "", nphase), STAY, tr.deltas)
-    finals = {s for s in seen if not s[1] and s[0] in mt.finals}
+                            out.append(Transition(st, x, gt, (tr.dst, "", nphase),
+                                                  STAY, tr.deltas))
+        return out
+
     return build_machine(
-        t.machine.name + "_image", kt, t.machine.l, out_syms, init, finals,
-        transitions, deterministic=False)
+        t.machine.name + "_image", kt, t.machine.l, out_syms, init,
+        lambda s: not s[1] and s[0] in mt.finals, moves, deterministic=False)

@@ -46,10 +46,12 @@ explored over a scan of its guard buckets, and trimmed; each kept edge is
 numbered by its position in the trimmed list: the reference for
 `decide.build_phase_automaton`, nodes, edge order and edge numbers alike.
 
-`build_machine_reference` deduplicates the transitions first, then finds
-the reachable states and keeps the transitions out of them: the reference
-for `machine.build_machine`, states, their iteration order and
-transition order alike.  `enforce_reversal_control_reference` is the
+`build_machine_reference` deduplicates a transition list first, then
+finds the reachable states and keeps the transitions out of them: the
+reference for `machine.build_machine` fed the list's moves state by
+state, for states, their iteration order, finals, `marked` (read from
+the kept transitions) and each (state, symbol, guard) key's transition
+order.  `enforce_reversal_control_reference` is the
 budget annotation as a plain worklist that steps the budgets once per
 transition and builds fresh (state, budgets) pairs for each one: the
 reference for `machine.enforce_reversal_control`, states, their
@@ -422,13 +424,13 @@ def _reach_in_order(seeds, edges):
 def build_machine_reference(name, k, l, alphabet, initial, finals, transitions, *,
                             marked=None, deterministic, budget_explicit=True):
     transitions = tuple(dict.fromkeys(transitions))
+    states = _reach_in_order([initial], [(t.src, t.dst) for t in transitions])
+    transitions = tuple(t for t in transitions if t.src in states)
     if marked is None:
         marked = any(t.symbol == EOT for t in transitions)
-    states = _reach_in_order([initial], [(t.src, t.dst) for t in transitions])
     return CounterMachine(
         name, k, l, frozenset(states), tuple(alphabet), initial,
-        frozenset(f for f in finals if f in states),
-        tuple(t for t in transitions if t.src in states),
+        frozenset(f for f in finals if f in states), transitions,
         marked, deterministic, budget_explicit)
 
 

@@ -162,6 +162,15 @@ def test_op_unknown_and_wrong_arity(mab, tmp_path, capsys):
     assert run_cli(["op", "product_intersection", mab, "-o", out]) == 2
 
 
+@pytest.mark.parametrize("argv", [["inverse_insertion_ncm", "bogus"], ["embed_with_gaps", "0"]])
+def test_op_bad_mode_or_gap_count_is_a_usage_error(mab, tmp_path, capsys, argv):
+    out = tmp_path / "x.mach"
+    assert run_cli(["op", argv[0], mab, argv[1], "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert not out.exists()
+
+
 def test_op_precondition_violation(tmp_path):
     # make_non_exiting refuses machines whose language is not prefix-free.
     f = tmp_path / "M_ab.mach"
