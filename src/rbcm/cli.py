@@ -130,7 +130,8 @@ def _cmd_run(args, rep):
             taken = "-" if tr is None else f"{tr.src} {tr.symbol} {tr.guard} -> {tr.dst} {tr.move}"
             rep.say(f"state={cfg.state!r} consumed={cfg.consumed} counters={list(cfg.counters)} via {taken}")
     rep.say(trace.verdict)
-    rep.details["steps"] = len(trace.steps.rows)
+    rep.details["steps"] = len(trace.steps)
+    rep.details["stretches"] = len(trace.steps.runs)
     if trace.verdict == "diverge" and trace.certificate is not None:
         cert = trace.certificate
         rep.details["certificate"] = {"t1": cert.t1, "t2": cert.t2, "growth": list(cert.growth)}

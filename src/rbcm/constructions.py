@@ -20,7 +20,7 @@ from .errors import (
 )
 from .machine import (
     EOT, POS, RIGHT, STAY, ZERO,
-    CounterMachine, Transition, _components, _fresh_state, _index, all_guards,
+    CounterMachine, Transition, _fresh_state, _index, all_guards,
     annotate_budgets, build_machine, combine_budgets, enforce_reversal_control,
     no_stay_into_final, run_deterministic, totalize_dead_state,
 )
@@ -169,11 +169,12 @@ def _halting(me: CounterMachine) -> CounterMachine:
     guarded zero keeps delta 0, so its guard holds again after it.  Over
     (state, symbol, guard) nodes the stable moves give each node at most
     one successor, and a run that reaches a cycle of that graph goes
-    round it forever.  Conversely, an endless stay run reverses each
-    counter at most `l` times, since `me`'s moves respect the budget;
-    after the last reversal every counter is monotone, a falling one soon
-    stays at zero, and from then on the run takes only stable moves, so
-    it enters a cycle.  The move at each cycle node is dropped, so the
+    round it forever; each node's walk along its successors, stopped at
+    a node met before, finds the cycles in time linear in the nodes.
+    Conversely, an endless stay run reverses each counter at most `l`
+    times, since `me`'s moves respect the budget; after the last reversal
+    every counter is monotone, a falling one soon stays at zero, and from
+    then on the run takes only stable moves, so it enters a cycle.  The move at each cycle node is dropped, so the
     run halts there and rejects, except on a `$` cycle through a final
     state, where the run accepts: its nodes move to one fresh final state
     with no moves.  With no cycle `me` itself is returned.  For `l` None
@@ -182,11 +183,28 @@ def _halting(me: CounterMachine) -> CounterMachine:
     """
     if me.l is None:
         raise InfiniteBudget("cutting endless stay runs needs a finite budget")
-    edges = [((t.src, t.symbol, t.guard), (t.dst, t.symbol, t.guard))
-             for t in me.transitions if t.move == STAY and all(
-                 d == 0 or (d > 0 and g == POS) for g, d in zip(t.guard, t.deltas))]
-    comp = _components(edges)
-    on_cycle = {u: comp[u] for u, v in edges if comp[u] == comp[v]}
+    stable = {}     # (guard, deltas) -> whether a stay of that shape is stable
+    succ = {}
+    for src, symbol, guard, dst, move, deltas, _ in me.transitions:
+        if move == STAY:
+            ok = stable.get((guard, deltas))
+            if ok is None:
+                ok = stable[guard, deltas] = all(
+                    d == 0 or (d > 0 and g == POS) for g, d in zip(guard, deltas))
+            if ok:
+                succ[src, symbol, guard] = (dst, symbol, guard)
+    on_cycle = {}   # node -> the cycle it lies on, named by one of its nodes
+    walk = {}       # node -> the node whose walk met it first
+    for u in succ:
+        v = u
+        while v in succ and v not in walk:
+            walk[v] = u
+            v = succ[v]
+        if walk.get(v) is u:    # this walk closed a new cycle at v
+            w = v
+            while w not in on_cycle:
+                on_cycle[w] = v
+                w = succ[w]
     if not on_cycle:
         return me
     accepting = {c for (q, sym, _), c in on_cycle.items() if sym == EOT and q in me.finals}
@@ -557,7 +575,9 @@ def left_quotient_word(m: CounterMachine, w: str) -> CounterMachine:
         raise PreconditionViolated("quotient word uses foreign symbols")
     me = enforce_reversal_control(m)
     trace = run_deterministic(me, w)
-    for boundary, consumed, targets, _budgets, _t in trace.steps.rows:
+    # a stretch of right moves ends before the end of w, so the first step
+    # with all of w consumed starts an entry
+    for boundary, consumed, targets, _budgets, _t, _count in trace.steps.runs:
         if consumed == len(w):
             break
     else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import re
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -93,23 +94,35 @@ class DivergenceCertificate:
 
 
 class RunSteps(Sequence):
-    """Read-only view of a run's rows as (Configuration, Transition or
+    """Read-only view of a run's steps as (Configuration, Transition or
     None) pairs.
 
-    `rows` holds one (state, consumed, counters, budgets, Transition or
-    None) tuple per step: the configuration before the step and the move
-    taken from it.  A pair is built only when it is read, and `len`
-    builds nothing.  Slices are lists of pairs, and a view equals a list
-    that holds the same pairs.
+    `runs` holds one (state, consumed, counters, budgets, Transition or
+    None, count) entry per stretch: `count` steps in a row that take the
+    same self-loop move from the same key, the first of them from the
+    configuration the entry gives.  `rows` spells the stretches out, one
+    (state, consumed, counters, budgets, Transition or None) tuple per
+    step: the configuration before the step and the move taken from it.
+    It is built on its first read and kept.  A pair is built only when it
+    is read, and `len` builds nothing.  Slices are lists of pairs, and a
+    view equals a list that holds the same pairs.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("runs", "_len", "_rows")
 
-    def __init__(self, rows):
-        self.rows = rows
+    def __init__(self, runs, length):
+        self.runs = runs
+        self._len = length      # the sum of the entries' counts
+        self._rows = None
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = list(_spell(self.runs))
+        return self._rows
 
     def __len__(self):
-        return len(self.rows)
+        return self._len
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -130,6 +143,20 @@ class RunSteps(Sequence):
         return repr(list(self))
 
 
+def _spell(runs):
+    """The rows of the stretches in `runs`, one per step."""
+    for state, consumed, counters, budgets, t, count in runs:
+        yield state, consumed, counters, budgets, t
+        for j in range(1, count):
+            yield (state, consumed + j if t.move == RIGHT else consumed,
+                   _after(counters, t.deltas, j), budgets, t)
+
+
+def _after(counters, deltas, j):
+    """The counters after `j` moves that each add `deltas`."""
+    return tuple([c + j * d for c, d in zip(counters, deltas)])
+
+
 def _pair(row):
     return Configuration(*row[:4]), row[4]
 
@@ -137,7 +164,7 @@ def _pair(row):
 @dataclass
 class RunTrace:
     steps: RunSteps      # (Configuration, Transition or None) per step, each
-    # pair built when it is read from the plain rows in `steps.rows`
+    # pair built when it is read, from the stretches in `steps.runs`
     verdict: str         # "accept" | "reject" | "diverge"
     certificate: Optional[DivergenceCertificate] = None
 
@@ -307,6 +334,27 @@ def _moves(m: CounterMachine) -> _MoveTable:
     return cached
 
 
+def _room(counters, deltas):
+    """How many times in a row a move that keeps its state and budgets
+    is taken from `counters` under one guard: 1 when it changes a zero
+    counter, else the least counter it lowers (each lowered counter must
+    be >= 1 before the step), or None when it lowers none."""
+    room = None
+    for c, d in zip(counters, deltas):
+        if d:
+            if not c:
+                return 1
+            if d < 0 and (room is None or c < room):
+                room = c
+    return room
+
+
+@functools.cache
+def _letter_run(a):
+    """`match(word, pos)` of the run of letter `a` that starts at `pos`."""
+    return re.compile(re.escape(a) + "+").match
+
+
 def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
     """Run a deterministic machine, with exact divergence detection.
 
@@ -317,17 +365,35 @@ def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
     [t1, t2].  The certificate's t2 is the first step at which any such
     lasso closes, and its t1 is the earliest step that qualifies.
 
-    Cost: one move-table lookup and one plain row per step, plus O(k)
-    lasso bookkeeping on stay steps only; no Configuration is built until
-    `RunTrace.steps` is read.  Step t1 of a lasso takes a stay move, and
-    t2 has t1's key and symbol, so t2 takes the same stay move: a step
-    that reads input never closes a lasso, and the record it would leave
-    is dropped at once.  Two steps with the same annotation have the same
-    (direction, used) for every counter when `m.l` is finite, so no
-    counter reversed between them: a counter that fell can never climb
-    back, and a key keeps only its latest step.  With `m.l` None the
-    directions may flip and return, so every earlier step of the key is
-    kept and checked.
+    Stretches.  A move taken at a key (state, symbol, guard, budgets)
+    that leads back to the same state and budgets, and changes only
+    counters that are positive, meets the same key again as long as the
+    symbol stays and every counter it lowers stays >= 1; so it is taken
+    again, and the whole stretch is one step of the loop and one entry of
+    `RunTrace.steps.runs`.  A right move repeats over the run of its
+    letter, cut at the least counter it lowers.  A stay that lowers a
+    counter repeats until a lowered counter reaches 0, and is taken in
+    one stretch only when `m.l` is finite.
+
+    Cost: one move-table lookup and one entry per stretch, plus the
+    letter run's scan in C and O(k) lasso bookkeeping per stay stretch;
+    a step outside a loop pays one letter comparison (right moves) or
+    two equality tests (stays) more.  No Configuration and no per-step
+    row is built until `RunTrace.steps` is read.
+
+    Step t1 of a lasso takes a stay move, and t2 has t1's key and
+    symbol, so t2 takes the same stay move: a step that reads input
+    never closes a lasso, and the record it would leave is dropped at
+    once.  Two steps with the same annotation have the same (direction,
+    used) for every counter when `m.l` is finite, so no counter reversed
+    between them: a counter that fell can never climb back, and a key
+    keeps only its latest step.  Hence a stretch skips no lasso: inside
+    a right stretch none can close, and inside a stay stretch each step
+    meets only the step before it, under the same key with a lowered
+    counter one higher.  The check runs at a stretch's first step as at
+    any step, and the stretch leaves its last step as the key's record.
+    With `m.l` None the directions may flip and return, so every earlier
+    step of the key is kept and checked, and stays go one step at a time.
     """
     if not m.deterministic:
         raise NondeterministicInput("run_deterministic needs a deterministic machine")
@@ -337,46 +403,61 @@ def run_deterministic(m: CounterMachine, word: str) -> RunTrace:
     finals = m.finals
     n = len(word)
     state, consumed, counters, budgets = m.initial, 0, (0,) * m.k, fresh_budgets(m.k)
-    rows = []
+    runs = []
+    step = 0                  # trace index of the current step
     # stay segment bookkeeping since the last input-consuming move:
     earlier = {}              # lasso key -> [(trace index, counters)]
     last_zero = [-1] * m.k    # last trace index at which counter i was 0;
     # an index left from an earlier segment is below every t1 of this one
     while True:
         if consumed == n and state in finals:
-            rows.append((state, consumed, counters, budgets, None))
-            return RunTrace(RunSteps(rows), "accept")
+            runs.append((state, consumed, counters, budgets, None, 1))
+            return RunTrace(RunSteps(runs, step + 1), "accept")
         status = tuple(map(bool, counters))
-        moves = moves_at[state, word[consumed] if consumed < n else EOT, status, budgets]
+        sym = word[consumed] if consumed < n else EOT
+        moves = moves_at[state, sym, status, budgets]
         if len(moves) != 1:
             if moves:
                 raise NondeterministicInput(f"multiple transitions applicable from {state!r}")
-            rows.append((state, consumed, counters, budgets, None))
-            return RunTrace(RunSteps(rows), "reject")
+            runs.append((state, consumed, counters, budgets, None, 1))
+            return RunTrace(RunSteps(runs, step + 1), "reject")
         t, nb, dst, move, deltas = moves[0]
+        count = 1
         if move == RIGHT:
-            # the row is taken before the bump: it holds the configuration before the move
-            rows.append((state, consumed, counters, budgets, t))
-            consumed += 1
+            if consumed + 1 < n and word[consumed + 1] == sym and dst == state and nb == budgets:
+                room = _room(counters, deltas)
+                if room != 1:
+                    count = _letter_run(sym)(word, consumed).end() - consumed
+                    if room is not None and room < count:
+                        count = room
+            runs.append((state, consumed, counters, budgets, t, count))
+            consumed += count
             if earlier:
                 earlier = {}
         else:
-            t2 = len(rows)
+            if prune and dst == state and nb == budgets:
+                count = _room(counters, deltas) or 1
+            last = step + count - 1
             for i, c in enumerate(counters):
                 if not c:
-                    last_zero[i] = t2
+                    # zero all through the stretch; `last` and `step` are
+                    # both above every t1 checked below
+                    last_zero[i] = last
             entries = earlier.setdefault((state, status, budgets), [])
             for t1, c1 in entries:
                 growth = tuple(b - a for a, b in zip(c1, counters))
                 if all(g >= 0 for g in growth) and \
                         all(last_zero[i] < t1 for i, g in enumerate(growth) if g):
-                    rows.append((state, consumed, counters, budgets, None))
-                    return RunTrace(RunSteps(rows), "diverge", DivergenceCertificate(t1, t2, growth))
+                    runs.append((state, consumed, counters, budgets, None, 1))
+                    return RunTrace(RunSteps(runs, step + 1), "diverge",
+                                    DivergenceCertificate(t1, step, growth))
+            runs.append((state, consumed, counters, budgets, t, count))
             if prune:
                 entries.clear()     # none of them can qualify later (see above)
-            entries.append((t2, counters))
-            rows.append((state, consumed, counters, budgets, t))
-        state, counters, budgets = dst, tuple(map(add, counters, deltas)), nb
+            entries.append((last, counters if count == 1 else _after(counters, deltas, count - 1)))
+        step += count
+        state, budgets = dst, nb
+        counters = tuple(map(add, counters, deltas)) if count == 1 else _after(counters, deltas, count)
 
 
 def accepts(m: CounterMachine, word: str) -> bool:

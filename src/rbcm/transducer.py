@@ -75,7 +75,8 @@ def transduce_det(t: CounterTransducer, word: str):
     trace = run_deterministic(m, word)
     if trace.verdict != "accept":
         return None
-    return "".join(t.output for _s, _c, _n, _b, t in trace.steps.rows if t is not None)
+    return "".join([t.output * count for _s, _c, _n, _b, t, count in trace.steps.runs
+                    if t is not None])
 
 
 def inverse_apply(t: CounterTransducer, a: CounterMachine) -> CounterMachine:

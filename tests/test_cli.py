@@ -91,6 +91,16 @@ def test_run_trace(mab, tmp_path, capsys):
                                               "growth": list(cert[2])}
 
 
+def test_run_json_counts_steps_and_stretches(mab, capsys):
+    """`details.stretches` counts the stored stretches of the run, and
+    `details.steps` its steps: on a^50 b^50 through M_ab, the first a,
+    the a loop, the first b, the b loop, the end-of-tape move and the
+    accepting configuration."""
+    assert run_cli(["run", mab, "--word", "a" * 50 + "b" * 50, "--json"]) == 0
+    details = json.loads(capsys.readouterr().out)["details"]
+    assert (details["steps"], details["stretches"]) == (102, 6)
+
+
 def test_enum_json(mab, capsys):
     assert run_cli(["enum", mab, "--max-len", "4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -14,14 +14,18 @@ from rbcm.corpus import CATALOG, corpus_text, load_corpus
 from rbcm.decide import member
 from rbcm.errors import NondeterministicInput
 from rbcm.fileformat import parse_machine, serialize_machine
+from rbcm import machine
 from rbcm.machine import (
     EOT,
     RIGHT,
     STAY,
+    POS,
     Configuration,
     CounterMachine,
+    RunSteps,
     Transition,
     accepts,
+    all_guards,
     enforce_reversal_control,
     run_deterministic,
     validate_machine,
@@ -150,6 +154,162 @@ def test_run_deterministic_matches_lasso_oracle():
                 assert _same_as_lasso_oracle(machine, word) is not None
 
 
+def _stretch_machine(rng, l):
+    """A random deterministic machine over {a, b} whose moves mostly loop
+    on their source: right loops that run over letter runs, and stays that
+    mostly lower counters, so that a stay loop drains a counter to 0 and
+    its guard flips.  The end-of-tape moves mostly drain in place or go
+    to `f`, the one final state that is sure to exist, which has no
+    moves."""
+    states = [f"q{i}" for i in range(rng.randint(1, 3))]
+    k = rng.randint(1, 2)
+    ts = []
+    for src in states:
+        for sym in ("a", "b", EOT):
+            for guard in all_guards(k):
+                if rng.random() < 0.05:
+                    continue
+                move = STAY if sym == EOT or rng.random() < 0.2 else RIGHT
+                if sym == EOT:
+                    dst = rng.choice([src] * 6 + ["f"] * 3 + states)
+                else:
+                    dst = src if rng.random() < 0.75 else rng.choice(states)
+                if move == RIGHT:
+                    pools = [(0, 1, 1, -1) if g == POS else (0, 1) for g in guard]
+                else:
+                    pools = [(-1, -1, -1, 0, 1) if g == POS else (0, 0, 0, 1) for g in guard]
+                ts.append(Transition(src, sym, guard, dst, move,
+                                     tuple(rng.choice(p) for p in pools)))
+    finals = ["f"] + [q for q in states if rng.random() < 0.15]
+    m = CounterMachine(f"stretch_{l}", k, l, frozenset(states + ["f"]), ("a", "b"),
+                       states[0], frozenset(finals), tuple(ts), True, True)
+    assert validate_machine(m) == [], validate_machine(m)
+    return m
+
+
+# A right stretch fills the counter, a lowering stay stretch drains it to
+# 0 on the first b, and under the flipped guard a stay loop closes a lasso
+# at the first step after the drain.
+DRAIN_THEN_LOOP = """
+machine drain_then_loop
+kind dcm
+acceptance marked
+counters 1
+reversals 1
+alphabet a b
+states s d f
+initial s
+final f
+trans s a * -> s R +1
+trans s b * -> d S 0
+trans s $ z -> f S 0
+trans d b p -> d S -1
+trans d b z -> d S 0
+"""
+
+
+# Under `reversals inf` the drain of a^n's count falls to 0, climbs to 3
+# and falls to 2 under the drain's key again: the lasso closes against the
+# drain step at 2, which only a record of every stay step can find.
+REDRAIN = """
+machine redrain
+kind dcm
+acceptance marked
+counters 1
+reversals inf
+alphabet a
+states s d u v w f
+initial s
+final f
+trans s a * -> s R +1
+trans s $ p -> d S 0
+trans s $ z -> f S 0
+trans d $ p -> d S -1
+trans d $ z -> u S +1
+trans u $ p -> v S +1
+trans v $ p -> w S +1
+trans w $ p -> d S -1
+"""
+
+
+def test_stretches_match_lasso_oracle():
+    """Runs that spend their steps in self-loop stretches give the
+    oracle's rows, verdict and certificate: right loops under every
+    budget, lowering stays under finite budgets, on words of letter runs
+    up to 300 letters long."""
+    rng = random.Random(25)
+    seen = {}
+    stretched = {RIGHT: 0, STAY: 0}     # runs with a stretch of each kind
+
+    def check(m, w):
+        v = _same_as_lasso_oracle(m, w)
+        seen[v] = seen.get(v, 0) + 1
+        for move in {t.move for _, _, _, _, t, count in run_deterministic(m, w).steps.runs
+                     if count > 1}:
+            stretched[move] += 1
+
+    for i in range(200):
+        m = _stretch_machine(rng, (0, 1, 2, 3, None)[i % 5])
+        for _ in range(4):
+            # the oracle rescans a stay segment at each step, so most runs are short
+            check(m, "".join(rng.choice("ab") * rng.randint(1, rng.choice((20, 300)))
+                             for _ in range(rng.randint(0, 2))))
+    drain = parse_machine(DRAIN_THEN_LOOP)
+    for n in (0, 1, 2, 300):
+        for tail in ("", "b", "ba", "bab"):
+            check(drain, "a" * n + tail)
+    assert _same_as_lasso_oracle(drain, "a" * 5 + "b") == "diverge"
+    cert = run_deterministic(drain, "a" * 5 + "b").certificate
+    assert (cert.t1, cert.t2) == (11, 12)   # 5 a's, the stay into d, 5 drain steps
+    redrain = parse_machine(REDRAIN)
+    for l in (None, 1, 2, 3):
+        for n in (0, 1, 2, 5, 40, 300):
+            check(dataclasses.replace(redrain, l=l), "a" * n)
+    cert = run_deterministic(redrain, "a" * 5).certificate
+    assert (cert.t1, cert.t2, cert.growth) == (9, 15, (0,))
+    mab, neq = load_corpus("M_ab").artifact, load_corpus("M_neq").artifact
+    for n in (1, 2, 299, 300):
+        for w in ("a" * n + "b" * n, "a" * n + "b" * (n - 1), "a" * n + "b" * n + "a"):
+            check(mab, w)
+            check(dataclasses.replace(mab, l=None), w)
+        check(neq, "#" + "a" * n + "b" * (n + 1) + "#")
+        check(neq, "#" + "a" * n + "#" + "b" * n + "#")
+    for R in (2, 3):
+        check(lr_machine(R), "a" * (R * R * 20) + "b" * (R * 20) + "c" * 20)
+    assert min(seen.get(v, 0) for v in ("accept", "reject", "diverge")) > 100, seen
+    assert seen.get(None, 0) < 10, seen
+    assert stretched[RIGHT] > 250 and stretched[STAY] > 20, stretched
+
+
+def _lookups(monkeypatch, call):
+    """`call()`'s result and the number of move-table lookups it made."""
+    real, counts = machine._moves, []
+
+    class Spy:
+        def __init__(self, table):
+            self.table = table
+
+        def __getitem__(self, key):
+            counts.append(key)
+            return self.table[key]
+
+    monkeypatch.setattr(machine, "_moves", lambda m: Spy(real(m)))
+    got = call()
+    monkeypatch.setattr(machine, "_moves", real)
+    return got, len(counts)
+
+
+def test_a_stretch_costs_one_lookup(monkeypatch):
+    """A right loop over a letter run and a lowering `$` drain are looked
+    up once per stretch, not once per letter or per stay."""
+    mab, neq = load_corpus("M_ab").artifact, load_corpus("M_neq").artifact
+    assert _lookups(monkeypatch, lambda: member(mab, "a" * 5000 + "b" * 5000)) <= (True, 10)
+    got, n = _lookups(monkeypatch, lambda: member(neq, "#" + "a" * 2001 + "b" * 2000 + "#"))
+    assert got and n <= 12, n
+    got, n = _lookups(monkeypatch, lambda: member(mab, "a" * 5000 + "b" * 4999))
+    assert not got and n <= 10, n
+
+
 def _oracle_pairs(m, word):
     verdict, steps, cert = lasso_run(m, word)
     return verdict, [(Configuration(*row[:4]), row[4]) for row in steps], cert
@@ -234,6 +394,20 @@ def test_verdict_runs_build_no_configuration(tmp_path, capsys, monkeypatch):
         if (name == "rbcm" or name.startswith("rbcm.")) and "Configuration" in vars(mod):
             monkeypatch.setattr(mod, "Configuration", refuse)
     with pytest.raises(AssertionError, match="Configuration"):
+        run_deterministic(load_corpus("M_ab").artifact, "ab").steps[0]
+    assert _verdict_answers(tmp_path, capsys) == want
+
+
+def test_verdict_runs_spell_no_rows(tmp_path, capsys, monkeypatch):
+    """A run that only answers a verdict, an output, a boundary or a step
+    count reads its stretches and never spells out its per-step rows."""
+    want = _verdict_answers(tmp_path, capsys)
+
+    def refuse(self):
+        raise AssertionError("the rows were spelled out")
+
+    monkeypatch.setattr(RunSteps, "rows", property(refuse))
+    with pytest.raises(AssertionError, match="rows"):
         run_deterministic(load_corpus("M_ab").artifact, "ab").steps[0]
     assert _verdict_answers(tmp_path, capsys) == want
 
